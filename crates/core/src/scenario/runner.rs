@@ -1,4 +1,7 @@
 //! The single entry point: `run(&spec) -> ScenarioReport`.
+//!
+//! Every point goes through `PointEval`; a machine point composes its
+//! fabric once and `MachineEval::drive` is the one simulator call site.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -11,17 +14,16 @@ use qic_fault::FaultPlan;
 use qic_modular::{ModularFabric, ModularSpec};
 use qic_net::config::NetConfig;
 use qic_net::report::NetReport;
-use qic_net::sim::{BatchDriver, NetworkSim};
-use qic_net::topology::{Coord, Topology, TopologyKind};
+use qic_net::sim::{BatchDriver, Driver, NetworkSim};
+use qic_net::topology::{Coord, Fabric, Topology, TopologyKind};
 use qic_probe::RecordingProbe;
 use qic_sweep::{
     Campaign, CampaignProgress, CampaignReport, CancelToken, CheckpointConfig, CheckpointError,
-    Executor, JsonlProgress, Metrics, NoProgress, ProgressSink, Shard,
+    Executor, JsonlProgress, Metrics, NoProgress, ProgressSink, RunCtx, Shard, SweepPoint,
 };
 use qic_workload::Program;
 
 use crate::layout::Layout;
-use crate::machine::Machine;
 use crate::scenario::spec::{
     ExperimentSpec, MachineSpec, ObserveSpec, ScenarioAxis, ScenarioError, ScenarioSpec,
     WorkloadSpec,
@@ -106,7 +108,7 @@ enum ExecOutcome {
 /// cannot fail.
 pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError> {
     spec.validate()?;
-    match dispatch(spec, ExecMode::Full)? {
+    match execute(spec, ExecMode::Full)? {
         ExecOutcome::Report(report) => Ok(ScenarioReport {
             spec: spec.clone(),
             report,
@@ -138,7 +140,7 @@ pub fn run_shard(spec: &ScenarioSpec, shard: Shard) -> Result<ScenarioReport, Sc
                 .into(),
         });
     }
-    match dispatch(spec, ExecMode::Shard(shard))? {
+    match execute(spec, ExecMode::Shard(shard))? {
         ExecOutcome::Report(report) => Ok(ScenarioReport {
             spec: spec.clone(),
             report,
@@ -170,7 +172,7 @@ pub fn run_budgeted(
             problem: "budgeted runs need a checkpoint block to record progress in".into(),
         });
     }
-    match dispatch(spec, ExecMode::Budgeted(budget))? {
+    match execute(spec, ExecMode::Budgeted(budget))? {
         ExecOutcome::Report(report) => Ok(ScenarioProgress::Complete(Box::new(ScenarioReport {
             spec: spec.clone(),
             report,
@@ -232,36 +234,13 @@ pub fn run_on_cancellable(
                 .into(),
         });
     }
-    let campaign = campaign(spec);
-    let report = match &spec.experiment {
-        ExperimentSpec::Machine { machine, workload } => {
-            let me = Arc::new(MachineEval::new(spec, machine, workload));
-            campaign.run_on_observed(exec, move |p, ctx| me.eval(p, ctx), progress, cancel)
-        }
-        ExperimentSpec::Channel {
-            placement,
-            hops,
-            metric,
-        } => {
-            let ce = Arc::new(ChannelEval::new(spec, *placement, *hops, *metric));
-            campaign.run_on_observed(exec, move |p, ctx| ce.eval(p, ctx), progress, cancel)
-        }
-    };
+    let pe = Arc::new(PointEval::new(spec));
+    let eval = move |point: &SweepPoint<'_>, ctx: RunCtx| pe.eval(point, ctx);
+    let report = campaign(spec).run_on_observed(exec, eval, progress, cancel);
     Ok(report.map(|report| ScenarioReport {
         spec: spec.clone(),
         report,
     }))
-}
-
-fn dispatch(spec: &ScenarioSpec, mode: ExecMode) -> Result<ExecOutcome, ScenarioError> {
-    match &spec.experiment {
-        ExperimentSpec::Machine { machine, workload } => run_machine(spec, machine, workload, mode),
-        ExperimentSpec::Channel {
-            placement,
-            hops,
-            metric,
-        } => run_channel(spec, *placement, *hops, *metric, mode),
-    }
 }
 
 fn campaign(spec: &ScenarioSpec) -> Campaign {
@@ -272,7 +251,8 @@ fn campaign(spec: &ScenarioSpec) -> Campaign {
 }
 
 /// Maps path-hostile characters of a scenario name to `_`, the shared
-/// file-stem convention for trace exports and checkpoint manifests.
+/// file-stem convention for trace exports, progress streams and
+/// checkpoint manifests.
 fn sanitize_stem(name: &str) -> String {
     name.chars()
         .map(|c| {
@@ -285,16 +265,32 @@ fn sanitize_stem(name: &str) -> String {
         .collect()
 }
 
-/// Runs `eval` under the chosen execution mode: plain, sharded, or
-/// checkpoint/resume (streaming aggregation, atomic manifest commits).
-fn execute<F>(spec: &ScenarioSpec, mode: ExecMode, eval: F) -> Result<ExecOutcome, ScenarioError>
-where
-    F: Fn(&qic_sweep::SweepPoint<'_>, qic_sweep::RunCtx) -> Metrics + Sync,
-{
+/// Evaluates a validated spec's points on the transient pool under the
+/// chosen execution mode: plain, sharded, or checkpoint/resume
+/// (streaming aggregation, atomic manifest commits).
+fn execute(spec: &ScenarioSpec, mode: ExecMode) -> Result<ExecOutcome, ScenarioError> {
+    let pe = PointEval::new(spec);
+    let eval = |point: &SweepPoint<'_>, ctx: RunCtx| pe.eval(point, ctx);
     let campaign = campaign(spec);
     match (mode, &spec.checkpoint) {
         (ExecMode::Shard(shard), _) => Ok(ExecOutcome::Report(campaign.run_shard(shard, eval))),
-        (ExecMode::Full, None) => Ok(ExecOutcome::Report(campaign.run(eval))),
+        (ExecMode::Full, None) => Ok(ExecOutcome::Report(match &spec.observe {
+            // Campaign-level observability rides along: a machine-
+            // readable progress stream (wall-clock, outside the
+            // determinism contract) next to the traces. Checkpointed and
+            // sharded runs skip the stream (their eval still writes
+            // per-point traces) — the manifest / shard merge is their
+            // progress record.
+            Some(obs) => {
+                let total = spec.param_space().len() * spec.replicates as usize;
+                let path = Path::new(&obs.dir)
+                    .join(format!("{}.progress.jsonl", sanitize_stem(&spec.name)));
+                let file = std::fs::File::create(&path)
+                    .unwrap_or_else(|e| panic!("creating {}: {e}", path.display()));
+                campaign.run_with_progress(eval, &JsonlProgress::new(file, total))
+            }
+            None => campaign.run(eval),
+        })),
         (ExecMode::Full, Some(ckpt)) => {
             let config = checkpoint_config(spec, &ckpt.dir, ckpt.every)?;
             let report = campaign.run_resumable(&config, eval)?;
@@ -357,11 +353,48 @@ fn write_traces(
     }
 }
 
-/// The owned evaluator behind every machine experiment: everything one
-/// point evaluation needs, cloned out of the spec so the same struct
-/// serves both execution paths — borrowed by the transient scoped pool
-/// (`run` / `run_shard` / `run_budgeted`) and `Arc`'d into the shared
-/// [`Executor`] (`run_on`), whose tasks must be `Send + 'static`.
+/// The owned evaluator behind every scenario point, built once per run
+/// from the spec. Everything one point evaluation needs is cloned out
+/// of the spec, so the same value serves both execution paths —
+/// borrowed by the transient scoped pool (`run` / `run_shard` /
+/// `run_budgeted`) and `Arc`'d into the shared [`Executor`] (`run_on`),
+/// whose tasks must be `Send + 'static`.
+enum PointEval {
+    /// A simulated machine point.
+    Machine(Box<MachineEval>),
+    /// A point of the closed-form pair-budget model.
+    Channel(ChannelEval),
+}
+
+impl PointEval {
+    fn new(spec: &ScenarioSpec) -> PointEval {
+        match &spec.experiment {
+            ExperimentSpec::Machine { machine, workload } => {
+                PointEval::Machine(Box::new(MachineEval::new(spec, machine, workload)))
+            }
+            ExperimentSpec::Channel {
+                placement,
+                hops,
+                metric,
+            } => PointEval::Channel(ChannelEval {
+                axes: spec.axes.clone(),
+                placement: *placement,
+                hops: *hops,
+                metric: *metric,
+            }),
+        }
+    }
+
+    fn eval(&self, point: &SweepPoint<'_>, ctx: RunCtx) -> Metrics {
+        match self {
+            PointEval::Machine(me) => me.eval(point, ctx),
+            PointEval::Channel(ce) => ce.eval(point),
+        }
+    }
+}
+
+/// Evaluates machine experiments: per point, apply the axes, compose
+/// the fabric, and drive the simulator over it.
 struct MachineEval {
     name: String,
     axes: Vec<ScenarioAxis>,
@@ -402,11 +435,11 @@ impl MachineEval {
     }
 
     /// Evaluates one `(point, replicate)`: applies every axis to the
-    /// base machine/workload, seeds the net RNG from the derived seed,
-    /// and runs the simulator (degraded fabric when a fault plan is in
-    /// play, probed when trace export is on).
-    fn eval(&self, point: &qic_sweep::SweepPoint<'_>, ctx: qic_sweep::RunCtx) -> Metrics {
-        let observe = self.observe.as_ref();
+    /// base machine/workload, stamps the derived seed on the config,
+    /// composes the fabric (base → modular? → degraded?) and drives it.
+    /// Modular points that report cost append their cost/fidelity
+    /// columns after the measured metrics.
+    fn eval(&self, point: &SweepPoint<'_>, ctx: RunCtx) -> Metrics {
         let mut net = self.machine.net_config();
         let mut layout = self.machine.layout;
         let mut wl = self.workload.clone();
@@ -423,118 +456,18 @@ impl MachineEval {
             );
         }
         // Per-point derived seeds follow the engine's replication
-        // contract; the net RNG only draws classical correction bits,
-        // which never move simulated time, so they cannot shift a
-        // figure's numbers. The fault plan keeps its *own* declared
-        // seed: which components die is part of the scenario, not of
-        // the replication noise.
+        // contract; the simulator draws no random numbers (the seed is
+        // provenance), so they cannot shift a figure's numbers. The
+        // fault plan keeps its *own* declared seed: which components
+        // die is part of the scenario, not of the replication noise.
         net.seed = ctx.seed;
-        if let Some(m) = modular {
-            return self.eval_modular(&m, net, layout, &wl, fault, (point.index(), ctx.replicate));
-        }
-        // Scenarios with a fault plan run over the compiled degraded
-        // fabric (even at rate zero, so a fault sweep reports the same
-        // metric columns at every point); plain scenarios take the
-        // untouched healthy path.
-        let degraded = fault.map(|plan| plan.compile(net.fabric()));
-        match &wl {
-            WorkloadSpec::Batch { comms } => {
-                let batch = comms
-                    .iter()
-                    .map(|&((sx, sy), (dx, dy))| (Coord::new(sx, sy), Coord::new(dx, dy)))
-                    .collect();
-                let mut driver = BatchDriver::new(batch);
-                match observe {
-                    Some(obs) => {
-                        let probe = RecordingProbe::with_bins(obs.bins);
-                        let (report, probe) = match degraded {
-                            Some(topo) => NetworkSim::with_topology_probe(net, topo, probe)
-                                .run_traced(&mut driver),
-                            None => NetworkSim::with_probe(net, probe).run_traced(&mut driver),
-                        };
-                        write_traces(obs, &self.name, point.index(), ctx.replicate, &probe);
-                        report
-                    }
-                    None => match degraded {
-                        Some(topo) => NetworkSim::with_topology(net, topo).run(&mut driver),
-                        None => NetworkSim::new(net).run(&mut driver),
-                    },
-                }
-                .metrics()
-            }
-            program_workload => {
-                let per_point;
-                let program = match &self.base_program {
-                    Some(shared) => shared,
-                    None => {
-                        per_point = program_workload
-                            .program()
-                            .expect("non-batch workloads generate programs");
-                        &per_point
-                    }
-                };
-                match (degraded, observe) {
-                    (Some(topo), observe) => {
-                        // The scheduler drives the degraded fabric
-                        // directly; dropped communications still retire
-                        // their instructions, so degraded programs
-                        // always drain (delivered/dropped counts tell
-                        // the resilience story).
-                        let mut driver = ProgramDriver::new(&net, layout, program)
-                            .expect("validated scenario points fit the grid");
-                        let report = match observe {
-                            Some(obs) => {
-                                let probe = RecordingProbe::with_bins(obs.bins);
-                                let (report, probe) =
-                                    NetworkSim::with_topology_probe(net, topo, probe)
-                                        .run_traced(&mut driver);
-                                write_traces(obs, &self.name, point.index(), ctx.replicate, &probe);
-                                report
-                            }
-                            None => NetworkSim::with_topology(net, topo).run(&mut driver),
-                        };
-                        driver.assert_finished();
-                        report.metrics()
-                    }
-                    (None, Some(obs)) => {
-                        // Same construction Machine::run performs
-                        // (ProgramDriver's default gate time is the
-                        // machine builder's), with the probe attached.
-                        let mut driver = ProgramDriver::new(&net, layout, program)
-                            .expect("validated scenario points fit the grid");
-                        let probe = RecordingProbe::with_bins(obs.bins);
-                        let (report, probe) =
-                            NetworkSim::with_probe(net, probe).run_traced(&mut driver);
-                        driver.assert_finished();
-                        write_traces(obs, &self.name, point.index(), ctx.replicate, &probe);
-                        report.metrics()
-                    }
-                    (None, None) => {
-                        let mut b = Machine::builder();
-                        b.net_config(net).layout(layout);
-                        let machine = b.build().expect("validated scenario points build");
-                        machine.run(program).net.metrics()
-                    }
-                }
-            }
-        }
-    }
-
-    /// Evaluates one point of a modular machine: the composed fabric is
-    /// handed to the simulator directly, the driver addresses the tiled
-    /// grid, and — when the spec asks — cost/fidelity columns ride
-    /// along next to the measured metrics. `trace_tag` is the
-    /// `(point index, replicate)` pair that names any exported traces.
-    fn eval_modular(
-        &self,
-        m: &ModularSpec,
-        mut net: NetConfig,
-        layout: Layout,
-        wl: &WorkloadSpec,
-        fault: Option<FaultPlan>,
-        trace_tag: (usize, u32),
-    ) -> Metrics {
-        let fabric = ModularFabric::new(net.fabric(), m);
+        let tag = (point.index(), ctx.replicate);
+        let Some(m) = modular else {
+            return self
+                .drive_faulted(net.fabric(), fault, net, layout, &wl, tag)
+                .metrics();
+        };
+        let fabric = ModularFabric::new(net.fabric(), &m);
         if m.modules > 1 {
             // The driver addresses the composed grid: modules tile side
             // by side, so placement snakes across the full width. A
@@ -544,88 +477,59 @@ impl MachineEval {
             net.mesh_width *= m.modules as u16;
             net.topology = TopologyKind::Mesh;
         }
-        let mut metrics = match fault {
-            Some(plan) => self
-                .drive(
-                    plan.compile(fabric.clone()),
-                    net.clone(),
-                    layout,
-                    wl,
-                    trace_tag,
-                )
-                .metrics(),
-            None => self
-                .drive(fabric.clone(), net.clone(), layout, wl, trace_tag)
-                .metrics(),
-        };
-        if m.report_cost {
-            let t = u64::from(net.teleporters_per_node);
-            let g = u64::from(net.generators_per_edge);
-            let p = u64::from(net.purifiers_per_site);
-            let nodes = fabric.nodes() as u64;
-            let intra = fabric.intra_links() as u64;
-            let inter = fabric.inter_links() as u64;
-            let counts = ComponentCounts {
-                nodes,
-                intra_links: intra,
-                inter_links: inter,
-                switch_ports: fabric.switch_ports() as u64,
-                teleporters: nodes * t + fabric.uplink_slots(),
-                generators: (intra + inter) * g,
-                purifiers: nodes * p,
-            };
-            let shape = NetworkShape {
-                avg_distance: fabric.avg_distance(),
-                diameter: fabric.diameter(),
-                bisection_width: fabric.bisection_width(),
-                hop_ns: net.times.teleport(net.hop_cells).as_nanos(),
-                inter_penalty_ns: m.inter.latency_ns * u64::from(fabric.tier_hops()),
-            };
-            let est = CostModel::ion_trap()
-                .with_inter_link_cost(m.inter_unit_cost)
-                .estimate(&counts, &shape);
-            metrics = metrics
-                .with("cost_dollars", est.dollars)
-                .with("cost_area_cells", est.area_cells)
-                .with("predicted_latency_ns", est.predicted_latency_ns)
-                .with("fidelity", fabric.fidelity_estimate());
+        let cost = m.report_cost.then(|| cost_columns(&fabric, &net, &m));
+        let mut metrics = self
+            .drive_faulted(fabric, fault, net, layout, &wl, tag)
+            .metrics();
+        for (name, value) in cost.into_iter().flatten() {
+            metrics.push(name, value);
         }
         metrics
     }
 
-    /// Runs one workload over a caller-supplied topology — the shared
-    /// tail of the modular paths (healthy and degraded compose to
-    /// different concrete types). `trace_tag` is the
-    /// `(point index, replicate)` pair that names any exported traces.
+    /// Wraps `topo` in the point's compiled fault plan, if it has one,
+    /// and drives it. Scenarios with a fault plan run degraded even at
+    /// rate zero, so a fault sweep reports the same metric columns at
+    /// every point; plain scenarios drive the untouched fabric.
+    fn drive_faulted<T: Topology>(
+        &self,
+        topo: T,
+        fault: Option<FaultPlan>,
+        net: NetConfig,
+        layout: Layout,
+        wl: &WorkloadSpec,
+        tag: (usize, u32),
+    ) -> NetReport {
+        match fault {
+            Some(plan) => self.drive(plan.compile(topo), net, layout, wl, tag),
+            None => self.drive(topo, net, layout, wl, tag),
+        }
+    }
+
+    /// Runs one workload over a composed topology — the one place a
+    /// scenario builds a simulator — probed when trace export is on.
+    /// Programs run at [`ProgramDriver`]'s default gate time (the
+    /// machine builder's). `tag` is the `(point index, replicate)` pair
+    /// that names any exported traces.
     fn drive<T: Topology>(
         &self,
         topo: T,
         net: NetConfig,
         layout: Layout,
         wl: &WorkloadSpec,
-        trace_tag: (usize, u32),
+        (point, replicate): (usize, u32),
     ) -> NetReport {
-        let observe = self.observe.as_ref();
-        match wl {
-            WorkloadSpec::Batch { comms } => {
-                let batch = comms
+        let mut batch_driver = None;
+        let mut program_driver = None;
+        let per_point;
+        let driver: &mut dyn Driver = match wl {
+            WorkloadSpec::Batch { comms } => batch_driver.insert(BatchDriver::new(
+                comms
                     .iter()
                     .map(|&((sx, sy), (dx, dy))| (Coord::new(sx, sy), Coord::new(dx, dy)))
-                    .collect();
-                let mut driver = BatchDriver::new(batch);
-                match observe {
-                    Some(obs) => {
-                        let probe = RecordingProbe::with_bins(obs.bins);
-                        let (report, probe) = NetworkSim::with_topology_probe(net, topo, probe)
-                            .run_traced(&mut driver);
-                        write_traces(obs, &self.name, trace_tag.0, trace_tag.1, &probe);
-                        report
-                    }
-                    None => NetworkSim::with_topology(net, topo).run(&mut driver),
-                }
-            }
+                    .collect(),
+            )),
             program_workload => {
-                let per_point;
                 let program = match &self.base_program {
                     Some(shared) => shared,
                     None => {
@@ -635,55 +539,74 @@ impl MachineEval {
                         &per_point
                     }
                 };
-                let mut driver = ProgramDriver::new(&net, layout, program)
-                    .expect("validated scenario points fit the grid");
-                let report = match observe {
-                    Some(obs) => {
-                        let probe = RecordingProbe::with_bins(obs.bins);
-                        let (report, probe) = NetworkSim::with_topology_probe(net, topo, probe)
-                            .run_traced(&mut driver);
-                        write_traces(obs, &self.name, trace_tag.0, trace_tag.1, &probe);
-                        report
-                    }
-                    None => NetworkSim::with_topology(net, topo).run(&mut driver),
-                };
-                driver.assert_finished();
+                program_driver.insert(
+                    ProgramDriver::new(&net, layout, program)
+                        .expect("validated scenario points fit the grid"),
+                )
+            }
+        };
+        let report = match &self.observe {
+            Some(obs) => {
+                let probe = RecordingProbe::with_bins(obs.bins);
+                let (report, probe) =
+                    NetworkSim::with_topology_probe(net, topo, probe).run_traced(driver);
+                write_traces(obs, &self.name, point, replicate, &probe);
                 report
             }
+            None => NetworkSim::with_topology(net, topo).run(driver),
+        };
+        // Dropped communications still retire their instructions, so
+        // even degraded programs always drain (delivered/dropped counts
+        // tell the resilience story).
+        if let Some(driver) = program_driver {
+            driver.assert_finished();
         }
+        report
     }
 }
 
-fn run_machine(
-    spec: &ScenarioSpec,
-    machine: &MachineSpec,
-    workload: &WorkloadSpec,
-    mode: ExecMode,
-) -> Result<ExecOutcome, ScenarioError> {
-    let me = MachineEval::new(spec, machine, workload);
-    let eval = |point: &qic_sweep::SweepPoint<'_>, ctx: qic_sweep::RunCtx| me.eval(point, ctx);
-    if let (ExecMode::Full, Some(obs), None) = (mode, me.observe.as_ref(), spec.checkpoint.as_ref())
-    {
-        // Campaign-level observability rides along: a machine-
-        // readable progress stream (wall-clock, outside the
-        // determinism contract) next to the traces. Checkpointed and
-        // sharded runs skip the stream (their eval still writes
-        // per-point traces) — the manifest / shard merge is their
-        // progress record.
-        let total = spec.param_space().len() * spec.replicates as usize;
-        let path = Path::new(&obs.dir).join(format!("{}.progress.jsonl", spec.name));
-        let file = std::fs::File::create(&path)
-            .unwrap_or_else(|e| panic!("creating {}: {e}", path.display()));
-        return Ok(ExecOutcome::Report(
-            campaign(spec).run_with_progress(eval, &JsonlProgress::new(file, total)),
-        ));
-    }
-    execute(spec, mode, eval)
+/// The cost/fidelity columns of a modular point: the analytic cost
+/// model over the composed fabric's component counts and shape, plus
+/// its fidelity estimate. Independent of the simulated run.
+fn cost_columns(
+    fabric: &ModularFabric<Fabric>,
+    net: &NetConfig,
+    m: &ModularSpec,
+) -> [(&'static str, f64); 4] {
+    let t = u64::from(net.teleporters_per_node);
+    let g = u64::from(net.generators_per_edge);
+    let p = u64::from(net.purifiers_per_site);
+    let nodes = fabric.nodes() as u64;
+    let intra = fabric.intra_links() as u64;
+    let inter = fabric.inter_links() as u64;
+    let counts = ComponentCounts {
+        nodes,
+        intra_links: intra,
+        inter_links: inter,
+        switch_ports: fabric.switch_ports() as u64,
+        teleporters: nodes * t + fabric.uplink_slots(),
+        generators: (intra + inter) * g,
+        purifiers: nodes * p,
+    };
+    let shape = NetworkShape {
+        avg_distance: fabric.avg_distance(),
+        diameter: fabric.diameter(),
+        bisection_width: fabric.bisection_width(),
+        hop_ns: net.times.teleport(net.hop_cells).as_nanos(),
+        inter_penalty_ns: m.inter.latency_ns * u64::from(fabric.tier_hops()),
+    };
+    let est = CostModel::ion_trap()
+        .with_inter_link_cost(m.inter_unit_cost)
+        .estimate(&counts, &shape);
+    [
+        ("cost_dollars", est.dollars),
+        ("cost_area_cells", est.area_cells),
+        ("predicted_latency_ns", est.predicted_latency_ns),
+        ("fidelity", fabric.fidelity_estimate()),
+    ]
 }
 
-/// The owned evaluator behind channel experiments — the closed-form
-/// pair-budget model. Like [`MachineEval`], it serves the scoped pool
-/// borrowed and the shared [`Executor`] `Arc`'d.
+/// Evaluates channel experiments — the closed-form pair-budget model.
 struct ChannelEval {
     axes: Vec<ScenarioAxis>,
     placement: PurifyPlacement,
@@ -692,21 +615,7 @@ struct ChannelEval {
 }
 
 impl ChannelEval {
-    fn new(
-        spec: &ScenarioSpec,
-        placement: PurifyPlacement,
-        hops: u32,
-        metric: PairMetric,
-    ) -> ChannelEval {
-        ChannelEval {
-            axes: spec.axes.clone(),
-            placement,
-            hops,
-            metric,
-        }
-    }
-
-    fn eval(&self, point: &qic_sweep::SweepPoint<'_>, _ctx: qic_sweep::RunCtx) -> Metrics {
+    fn eval(&self, point: &SweepPoint<'_>) -> Metrics {
         let mut placement = self.placement;
         let mut hops = self.hops;
         let mut rates = None;
@@ -719,15 +628,4 @@ impl ChannelEval {
         }
         Metrics::new().with("pairs", pair_budget(&model, hops, self.metric))
     }
-}
-
-fn run_channel(
-    spec: &ScenarioSpec,
-    base_placement: PurifyPlacement,
-    base_hops: u32,
-    metric: PairMetric,
-    mode: ExecMode,
-) -> Result<ExecOutcome, ScenarioError> {
-    let ce = ChannelEval::new(spec, base_placement, base_hops, metric);
-    execute(spec, mode, |point, ctx| ce.eval(point, ctx))
 }

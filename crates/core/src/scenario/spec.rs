@@ -675,7 +675,8 @@ pub fn ratio_resources(ratio: i64, area: u32) -> (u32, u32, u32) {
 /// Per `(point, replicate)` evaluation the runner writes
 /// `{name}_p{index:04}_r{replicate}.events.jsonl` (the structured event
 /// log) and the matching `.trace.json` (Chrome-trace / Perfetto), plus
-/// one `{name}.progress.jsonl` campaign progress stream. Every exported
+/// one `{name}.progress.jsonl` campaign progress stream, with any
+/// path-hostile characters of the name mapped to `_`. Every exported
 /// trace is deterministic — same spec, same bytes, any worker count —
 /// while the progress stream is wall-clock by design. Scenarios without
 /// an observe block never construct a probe, so their reports and

@@ -1459,9 +1459,9 @@ impl<T: Topology, P: Probe> World<T, P> {
         let tele_util = if makespan == Duration::ZERO {
             0.0
         } else {
-            // Same per-pool arithmetic (and summation order) as
-            // `ServerPool::utilization`, over the flat arrays. Idle
-            // pools contribute exactly 0.0, so they are skipped.
+            // Summed in pool-index order, which fixes the float bits
+            // the report carries. Idle pools contribute exactly 0.0,
+            // so they are skipped.
             let mut total = 0.0;
             for i in 0..self.telesets.capacity.len() {
                 if self.telesets.busy_ns[i] != 0 {

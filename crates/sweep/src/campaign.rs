@@ -266,31 +266,6 @@ impl Campaign {
         self.report_of(points, wall_ns)
     }
 
-    /// [`Campaign::run_shard`] with streaming (constant-memory)
-    /// aggregation — the shard counterpart of
-    /// [`Campaign::run_streaming`], with the same trade-off: summaries
-    /// identical to the buffered path, raw replicate samples not
-    /// retained.
-    pub fn run_shard_streaming<F>(&self, shard: Shard, eval: F) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let range = shard.point_range(self.space.len());
-        let indices: Vec<usize> = range.collect();
-        let mut points: Vec<PointReport> = Vec::with_capacity(indices.len());
-        let mut wall_ns: Vec<u64> = Vec::with_capacity(indices.len());
-        self.run_point_set(&indices, &eval, |point, wall| {
-            points.push(point);
-            wall_ns.push(wall);
-        });
-        // Completion order is scheduling-dependent; the report is
-        // index-addressed.
-        let mut paired: Vec<(PointReport, u64)> = points.into_iter().zip(wall_ns).collect();
-        paired.sort_by_key(|(p, _)| p.index);
-        let (points, wall_ns) = paired.into_iter().unzip();
-        self.report_of(points, wall_ns)
-    }
-
     /// Evaluates the whole campaign with **streaming aggregation**: one
     /// task per point, replicates folded into per-metric Welford
     /// tallies ([`qic_des::stats::Tally`]) as they are produced, so a
@@ -307,9 +282,10 @@ impl Campaign {
     where
         F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
     {
+        let indices: Vec<usize> = (0..self.space.len()).collect();
         let mut slots: Vec<Option<(PointReport, u64)>> = Vec::new();
-        slots.resize_with(self.space.len(), || None);
-        self.run_streaming_with(eval, |point, wall| {
+        slots.resize_with(indices.len(), || None);
+        self.run_point_set(&indices, &eval, |point, wall| {
             let i = point.index;
             slots[i] = Some((point, wall));
         });
@@ -318,27 +294,6 @@ impl Campaign {
             .map(|s| s.expect("every point completed"))
             .unzip();
         self.report_of(points, wall_ns)
-    }
-
-    /// Out-of-core streaming: like [`Campaign::run_streaming`], but
-    /// each completed [`PointReport`] is handed to `sink` (with its
-    /// wall-clock nanoseconds) **in completion order** instead of being
-    /// accumulated — the campaign's memory footprint stays constant in
-    /// the number of points. The sink runs on the caller's thread;
-    /// append each record to an on-disk spill (see
-    /// [`CampaignReport::to_record_json`] for the format) and
-    /// reassemble by point index.
-    ///
-    /// Completion order is scheduling-dependent; the records are not.
-    ///
-    /// [`CampaignReport::to_record_json`]: crate::report::CampaignReport::to_record_json
-    pub fn run_streaming_with<F, S>(&self, eval: F, sink: S)
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-        S: FnMut(PointReport, u64),
-    {
-        let indices: Vec<usize> = (0..self.space.len()).collect();
-        self.run_point_set(&indices, &eval, sink);
     }
 
     /// Buffered (replicate-retaining) evaluation of a contiguous point
@@ -685,21 +640,10 @@ mod tests {
     }
 
     #[test]
-    fn merged_streaming_shards_match_the_streaming_run() {
-        let whole = toy_campaign().run_streaming(eval);
-        let parts: Vec<CampaignReport> = (0..4)
-            .map(|i| toy_campaign().run_shard_streaming(Shard::new(i, 4), eval))
-            .collect();
-        let merged = CampaignReport::merge(parts).unwrap();
-        assert_eq!(merged, whole);
-        assert_eq!(merged.to_record_json(), whole.to_record_json());
-        assert_eq!(merged.to_csv(), whole.to_csv());
-    }
-
-    #[test]
     fn streaming_sink_sees_every_point_exactly_once() {
         let mut seen = vec![0usize; 6];
-        toy_campaign().run_streaming_with(eval, |point, _wall| {
+        let indices: Vec<usize> = (0..6).collect();
+        toy_campaign().run_point_set(&indices, &eval, |point, _wall| {
             seen[point.index] += 1;
         });
         assert_eq!(seen, vec![1; 6]);

@@ -3,9 +3,9 @@
 //!
 //! Two pools live here:
 //!
-//! * the **transient pool** ([`run_indexed`] / [`run_indexed_observed`])
-//!   that [`Campaign::run`] spins up per call — scoped threads, so the
-//!   task closure may borrow freely;
+//! * the **transient pool** ([`run_indexed_observed`]) that
+//!   [`Campaign::run`] spins up per call — scoped threads, so the task
+//!   closure may borrow freely;
 //! * the **shared [`Executor`]** — a persistent pool serving many
 //!   concurrent submissions with fair round-robin scheduling, bounded
 //!   admission, cooperative cancellation ([`CancelToken`]) and panic
@@ -38,7 +38,7 @@ use std::thread;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::progress::{NoProgress, ProgressSink};
+use crate::progress::ProgressSink;
 
 /// Flags the shared cancel latch when its worker unwinds, so the other
 /// workers stop claiming tasks instead of draining the whole campaign
@@ -54,32 +54,17 @@ impl Drop for CancelOnPanic<'_> {
 }
 
 /// Evaluates `tasks` task indices on `workers` threads, streaming each
-/// `(index, result)` into `sink` as it completes.
+/// `(index, result, wall_ns)` into `sink` as it completes, and telling
+/// `progress` of every claim and finish from the worker that ran it.
 ///
 /// The task function runs once per index in `0..tasks`; which thread
 /// runs which index is scheduling-dependent, but `sink` receives every
 /// index exactly once, so an index-addressed collection is
-/// deterministic. A panicking task cancels the pool — the other
-/// workers finish only their in-flight task, claim nothing further —
-/// and then propagates to the caller.
-pub fn run_indexed<R, F, S>(tasks: usize, workers: usize, task: F, mut sink: S)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    S: FnMut(usize, R),
-{
-    run_indexed_observed(tasks, workers, task, |i, r, _wall| sink(i, r), &NoProgress);
-}
-
-/// [`run_indexed`] with campaign-level observability: `progress`
-/// receives a claim/finish callback pair per task from the worker that
-/// ran it, and `sink` additionally receives each task's wall-clock
-/// evaluation time in nanoseconds.
-///
-/// The result stream and its index-addressing are identical to
-/// [`run_indexed`] — wall times and progress callbacks are measurement
+/// deterministic. Wall times and progress callbacks are measurement
 /// side channels, scheduling-dependent by nature, and must not feed
-/// anything that claims determinism.
+/// anything that claims determinism. A panicking task cancels the pool
+/// — the other workers finish only their in-flight task, claim nothing
+/// further — and then propagates to the caller.
 pub fn run_indexed_observed<R, F, S>(
     tasks: usize,
     workers: usize,
@@ -140,22 +125,6 @@ pub fn run_indexed_observed<R, F, S>(
             }
         }
     });
-}
-
-/// Like [`run_indexed`], but collects results into a `Vec` ordered by
-/// task index.
-pub fn collect_indexed<R, F>(tasks: usize, workers: usize, task: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(tasks, || None);
-    run_indexed(tasks, workers, task, |i, r| slots[i] = Some(r));
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task index reported exactly once"))
-        .collect()
 }
 
 /// Worker count to use when a campaign does not pin one.
@@ -441,30 +410,11 @@ impl Executor {
         self.workers
     }
 
-    /// Evaluates `tasks` task indices on the shared pool, streaming
-    /// each `(index, result)` into `sink` as it completes — the
-    /// shared-pool analogue of [`run_indexed`]. Panics inside `task`
-    /// propagate to this caller.
-    pub fn run_indexed<R, F, S>(&self, tasks: usize, task: F, mut sink: S)
-    where
-        R: Send + 'static,
-        F: Fn(usize) -> R + Send + Sync + 'static,
-        S: FnMut(usize, R),
-    {
-        let complete = self.run_indexed_observed(
-            tasks,
-            task,
-            |i, r, _wall| sink(i, r),
-            Arc::new(NoProgress),
-            &CancelToken::new(),
-        );
-        debug_assert!(complete, "an uncancelled run always completes");
-    }
-
-    /// [`Executor::run_indexed`] with observability and cancellation:
+    /// Evaluates `tasks` task indices on the shared pool — the
+    /// shared-pool analogue of [`run_indexed_observed`]: `sink`
+    /// receives each `(index, result, wall_ns)` as it completes,
     /// `progress` hears every claim/finish (with pool-worker
-    /// attribution), `sink` additionally receives wall-clock
-    /// nanoseconds per task, and tripping `cancel` stops further claims.
+    /// attribution), and tripping `cancel` stops further claims.
     ///
     /// Returns `true` when every task ran, `false` when the run was
     /// cancelled (some indices then never reach `sink`). The submitting
@@ -590,6 +540,28 @@ fn worker_loop(shared: &Shared, worker: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::progress::NoProgress;
+
+    /// The transient pool's results, collected in task-index order.
+    fn collect_indexed<R, F>(tasks: usize, workers: usize, task: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        let mut slots: Vec<Option<R>> = Vec::new();
+        slots.resize_with(tasks, || None);
+        run_indexed_observed(
+            tasks,
+            workers,
+            task,
+            |i, r, _wall| slots[i] = Some(r),
+            &NoProgress,
+        );
+        slots
+            .into_iter()
+            .map(|s| s.expect("every task index reported exactly once"))
+            .collect()
+    }
 
     #[test]
     fn covers_every_index_once() {
@@ -617,15 +589,16 @@ mod tests {
     #[test]
     fn streams_tagged_results() {
         let mut seen = [false; 50];
-        run_indexed(
+        run_indexed_observed(
             50,
             4,
             |i| i,
-            |i, r| {
+            |i, r, _wall| {
                 assert_eq!(i, r);
                 assert!(!seen[i], "index {i} delivered twice");
                 seen[i] = true;
             },
+            &NoProgress,
         );
         assert!(seen.iter().all(|&s| s));
     }
@@ -686,7 +659,7 @@ mod tests {
         let evaluated = AtomicUsize::new(0);
         let tasks = 10_000;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_indexed(
+            run_indexed_observed(
                 tasks,
                 4,
                 |i| {
@@ -696,7 +669,8 @@ mod tests {
                     evaluated.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_micros(20));
                 },
-                |_, _| {},
+                |_, _, _| {},
+                &NoProgress,
             );
         }));
         assert!(result.is_err(), "the panic must propagate");

@@ -163,3 +163,126 @@ fn scenario_trace_export_is_deterministic_across_runs_and_workers() {
     }
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// A scenario name with path separators must not escape the observe
+/// directory: the progress stream uses the same sanitised stem as the
+/// trace files and checkpoint manifests.
+#[test]
+fn progress_stream_sanitises_the_scenario_name() {
+    let dir = std::env::temp_dir().join(format!("qic_probe_stem_{}", std::process::id()));
+    let spec = ScenarioSpec::machine(
+        "fig16/variant",
+        MachineSpec::preset(NetPreset::SmallTest),
+        WorkloadSpec::Qft { qubits: 8 },
+    )
+    .with_observe(ObserveSpec::to_dir(dir.display().to_string()));
+    qic::run(&spec).expect("spec validates");
+    assert!(dir.join("fig16_variant.progress.jsonl").is_file());
+    assert!(dir.join("fig16_variant_p0000_r0.events.jsonl").is_file());
+    assert!(!dir.join("fig16").exists(), "the name made a subdirectory");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Everything but the `trace.*` columns of a report, per replicate.
+fn untraced(report: &qic::sweep::CampaignReport) -> Vec<Vec<(String, f64)>> {
+    report
+        .points
+        .iter()
+        .flat_map(|p| &p.replicates)
+        .map(|m| {
+            m.iter()
+                .filter(|(name, _)| !name.starts_with("trace."))
+                .map(|(name, v)| (name.to_string(), v))
+                .collect()
+        })
+        .collect()
+}
+
+/// Observing a scenario changes no result on any composition the
+/// runner builds — flat, faulted, modular, modular + faulted — for both
+/// the batch and the program driver, and writes one event log and one
+/// Chrome trace per (point, replicate).
+#[test]
+fn observing_changes_no_result_on_any_composition() {
+    let plan = || {
+        FaultPlan::healthy()
+            .with_seed(7)
+            .with_link_kill(0.25)
+            .with_node_loss(0.1)
+    };
+    let machines = [
+        ("flat", MachineSpec::preset(NetPreset::SmallTest)),
+        (
+            "faulted",
+            MachineSpec::preset(NetPreset::SmallTest).with_fault(plan()),
+        ),
+        (
+            "modular",
+            MachineSpec::preset(NetPreset::SmallTest)
+                .with_modular(ModularSpec::single().with_modules(2)),
+        ),
+        (
+            "modular_faulted",
+            MachineSpec::preset(NetPreset::SmallTest)
+                .with_modular(ModularSpec::single().with_modules(2))
+                .with_fault(plan()),
+        ),
+    ];
+    let batch = WorkloadSpec::Batch {
+        comms: crossing_batch()
+            .into_iter()
+            .map(|(s, d)| ((s.x, s.y), (d.x, d.y)))
+            .collect(),
+    };
+    let synthetic = WorkloadSpec::Synthetic {
+        qubits: 8,
+        comms: 16,
+        seed: 7,
+    };
+    let base = std::env::temp_dir().join(format!("qic_probe_arms_{}", std::process::id()));
+    for (machine_name, machine) in &machines {
+        for (wl_name, workload) in [("batch", &batch), ("synthetic", &synthetic)] {
+            let name = format!("{machine_name}_{wl_name}");
+            let spec = ScenarioSpec::machine(&name, machine.clone(), workload.clone())
+                .with_axis(ScenarioAxis::Routings {
+                    policies: RoutingPolicy::ALL.to_vec(),
+                })
+                .with_replicates(2);
+            let dir = base.join(&name);
+            let plain = qic::run(&spec).expect("spec validates");
+            let observed = qic::run(
+                &spec
+                    .clone()
+                    .with_observe(ObserveSpec::to_dir(dir.display().to_string())),
+            )
+            .expect("spec validates");
+            assert_eq!(
+                untraced(&plain.report),
+                untraced(&observed.report),
+                "{name}: observing changed a result"
+            );
+            let points = plain.report.points.len();
+            assert_eq!(points, RoutingPolicy::ALL.len(), "{name}");
+            for p in 0..points {
+                for r in 0..2 {
+                    for ext in ["events.jsonl", "trace.json"] {
+                        let file = dir.join(format!("{name}_p{p:04}_r{r}.{ext}"));
+                        assert!(file.is_file(), "{name}: missing {}", file.display());
+                    }
+                }
+            }
+            let exported = std::fs::read_dir(&dir)
+                .expect("observe dir exists")
+                .filter(|e| {
+                    !e.as_ref()
+                        .unwrap()
+                        .path()
+                        .to_string_lossy()
+                        .ends_with(".progress.jsonl")
+                })
+                .count();
+            assert_eq!(exported, points * 2 * 2, "{name}: stray trace files");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
