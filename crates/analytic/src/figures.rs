@@ -198,7 +198,9 @@ fn pairs_campaign(model: &ChannelModel, max_hops: u32, metric: PairMetric) -> Ca
         PairMetric::TotalPairs => "figure10",
         PairMetric::TeleportedPairs => "figure11",
     };
-    Campaign::new(name, space).run(|point, _ctx| {
+    // The evaluator outlives this borrow on the pool's threads.
+    let model = model.clone();
+    Campaign::new(name, space).run(move |point, _ctx| {
         let placement = PurifyPlacement::FIGURE_SET[point.coord(0)];
         let m = model.clone().with_placement(placement);
         Metrics::new().with("pairs", pair_budget(&m, point.u32("hops"), metric))
@@ -235,7 +237,7 @@ pub fn figure12_campaign(hops: u32, points_per_decade: u32) -> CampaignReport {
     let space = ParamSpace::new()
         .axis(placement_axis())
         .axis(Axis::log_spaced("error_rate", -9, -4, points_per_decade));
-    Campaign::new("figure12", space).run(|point, _ctx| {
+    Campaign::new("figure12", space).run(move |point, _ctx| {
         let placement = PurifyPlacement::FIGURE_SET[point.coord(0)];
         let p = point.f64("error_rate");
         let rates = ErrorRates::uniform(p).expect("sweep values are probabilities");

@@ -48,9 +48,7 @@ mod spec;
 pub use digest::SpecDigest;
 pub use qic_sweep::json::JsonError;
 pub use registry::{faceoff_spec, fig16_spec, ScenarioEntry, ScenarioRegistry, ScenarioScale};
-pub use runner::{
-    run, run_budgeted, run_on, run_on_cancellable, run_shard, ScenarioProgress, ScenarioReport,
-};
+pub use runner::{run, run_with, ScenarioProgress, ScenarioReport};
 pub use spec::{
     ratio_resources, CheckpointSpec, ExperimentSpec, MachineSpec, NetPreset, ObserveSpec,
     ScenarioAxis, ScenarioError, ScenarioSpec, WorkloadSpec,

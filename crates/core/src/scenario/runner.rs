@@ -1,9 +1,10 @@
-//! The single entry point: `run(&spec) -> ScenarioReport`.
+//! The two entry points: `run(&spec)` on a per-call pool and
+//! `run_with(&spec, &Executor, Plan)` on any pool, for any point set.
 //!
 //! Every point goes through `PointEval`; a machine point composes its
 //! fabric once and `MachineEval::drive` is the one simulator call site.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use qic_analytic::cost::{ComponentCounts, CostModel, NetworkShape};
@@ -18,8 +19,8 @@ use qic_net::sim::{BatchDriver, Driver, NetworkSim};
 use qic_net::topology::{Coord, Fabric, Topology, TopologyKind};
 use qic_probe::RecordingProbe;
 use qic_sweep::{
-    Campaign, CampaignProgress, CampaignReport, CancelToken, CheckpointConfig, CheckpointError,
-    Executor, JsonlProgress, Metrics, NoProgress, ProgressSink, RunCtx, Shard, SweepPoint,
+    Campaign, CampaignProgress, CampaignReport, CheckpointConfig, CheckpointError, Executor,
+    JsonlProgress, Metrics, Plan, Points, RunCtx, SweepPoint,
 };
 use qic_workload::Program;
 
@@ -55,192 +56,163 @@ impl ScenarioReport {
     }
 }
 
-/// How far a budgeted, checkpointed scenario run got — either the
-/// finished report or the checkpoint manifest's progress.
+/// How far a [`run_with`] call got — either the finished report or the
+/// partial progress of a cancelled or budgeted run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioProgress {
-    /// Every point completed; the full report.
+    /// Every point of the plan completed; the full report.
     Complete(Box<ScenarioReport>),
-    /// The point budget ran out; the manifest holds `done` of `total`
+    /// The run was cancelled, or a resume plan's budget ran out, first.
+    /// For a checkpointed spec the manifest holds `done` of `total`
     /// points and a later run resumes from it.
     Partial {
-        /// Points completed so far (across all runs).
+        /// Points completed so far (for a resume: across all runs).
         done: usize,
-        /// Points in the scenario's sweep.
+        /// Points in the plan.
         total: usize,
     },
 }
 
-/// Which slice of the campaign this invocation executes.
-#[derive(Clone, Copy)]
-enum ExecMode {
-    /// The whole campaign (resuming from a checkpoint manifest when the
-    /// spec asks for one).
-    Full,
-    /// One contiguous shard of the point space, buffered.
-    Shard(Shard),
-    /// Checkpointed with a point budget: stop after this many newly
-    /// completed points (`None` = run to completion).
-    Budgeted(Option<usize>),
-}
-
-/// An execution's result: a report, or checkpointed partial progress.
-enum ExecOutcome {
-    Report(CampaignReport),
-    Partial { done: usize, total: usize },
+impl ScenarioProgress {
+    /// The finished report; `None` for partial progress.
+    pub fn into_report(self) -> Option<ScenarioReport> {
+        match self {
+            ScenarioProgress::Complete(report) => Some(*report),
+            ScenarioProgress::Partial { .. } => None,
+        }
+    }
 }
 
 /// Runs a scenario: validates the spec, builds the campaign its axes
-/// describe, evaluates every point (in parallel, deterministically) and
-/// returns the report.
+/// describe, evaluates every point on a per-call pool (in parallel,
+/// deterministically) and returns the report.
 ///
-/// This is the one entry point every experiment goes through — the
-/// figure presets in [`crate::scenario::ScenarioRegistry`], the
-/// examples, and ad-hoc specs loaded from JSON. Specs with a
+/// This is the entry point every experiment goes through — the figure
+/// presets in [`crate::scenario::ScenarioRegistry`], the examples, and
+/// ad-hoc specs loaded from JSON. It is [`run_with`] on an
+/// [`Executor`] of the spec's `workers` (capped at the point count)
+/// with the whole-campaign [`Plan::all`], so specs with a
 /// [`crate::scenario::CheckpointSpec`] resume from their manifest and
-/// run to completion.
+/// run to completion. An uncheckpointed spec with an
+/// [`ObserveSpec`] also streams campaign progress to
+/// `{dir}/{name}.progress.jsonl`.
 ///
 /// # Errors
 ///
-/// [`ScenarioError`] if the spec fails validation or — for
-/// checkpointed specs — the manifest cannot be read, written, or does
-/// not belong to this spec. Running a validated, uncheckpointed spec
-/// cannot fail.
+/// As [`run_with`]. Running a validated spec with neither a checkpoint
+/// nor an observe block cannot fail.
 pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError> {
     spec.validate()?;
-    match execute(spec, ExecMode::Full)? {
-        ExecOutcome::Report(report) => Ok(ScenarioReport {
-            spec: spec.clone(),
-            report,
-        }),
-        ExecOutcome::Partial { .. } => unreachable!("a full run always completes"),
+    let mut plan = Plan::all();
+    if let (Some(obs), None) = (&spec.observe, &spec.checkpoint) {
+        // A machine-readable progress stream (wall-clock, outside the
+        // determinism contract) next to the traces.
+        let path = observe_dir(obs)?.join(format!("{}.progress.jsonl", sanitize_stem(&spec.name)));
+        let file = std::fs::File::create(&path)
+            .map_err(|e| io_error(&path, "create progress stream", &e))?;
+        plan.progress = Arc::new(JsonlProgress::new(file, spec.param_space().len()));
     }
+    let exec = Executor::new(campaign(spec).pool_size());
+    Ok(execute(spec, &exec, plan)?
+        .into_report()
+        .expect("an uncancelled whole-campaign run completes"))
 }
 
-/// Runs one contiguous shard of a scenario's campaign: the points of
-/// `shard` evaluate exactly as they would in [`run`] (per-point seeds
-/// derive from absolute indices), and the report contains only those
-/// points. Merging every shard's report with
-/// [`qic_sweep::CampaignReport::merge`] reproduces the serial report
-/// byte for byte — the cross-process fan-out primitive behind
-/// `scenario_run --shard i/K`.
+/// Runs the points `plan` selects of a validated scenario on `exec`.
+///
+/// The report is **byte-identical** to [`run`]'s whatever the pool
+/// size or the concurrent load on `exec` (fair round-robin at point
+/// granularity — how `qic-serve` runs many scenarios on one pool); the
+/// spec's `workers` hint is not used, as the pool was sized when the
+/// executor was built. The plan's point set is read against the spec:
+///
+/// * [`Points::All`] is the whole campaign — resumed from the spec's
+///   checkpoint manifest when it has a checkpoint block;
+/// * [`Points::Shard`] evaluates one contiguous shard; merging every
+///   shard's report with [`qic_sweep::CampaignReport::merge`]
+///   reproduces the whole report byte for byte (the cross-process
+///   fan-out behind `scenario_run --shard i/K`);
+/// * [`Points::Resume`] evaluates at most `budget` missing points and
+///   commits the manifest — call repeatedly (or from separate
+///   processes, one after another) until
+///   [`ScenarioProgress::Complete`]. Pass the spec's own
+///   [`ScenarioSpec::checkpoint_config`].
+///
+/// Tripping the plan's cancel token stops further point claims; the
+/// call then returns [`ScenarioProgress::Partial`] (a checkpointed run
+/// commits the finished points first). The plan's progress sink hears
+/// one start/finish pair per point.
 ///
 /// # Errors
 ///
-/// [`ScenarioError`] if the spec fails validation, or if it has a
-/// checkpoint block (a shard neither reads nor writes the manifest, so
-/// combining the two would silently disable resume).
-pub fn run_shard(spec: &ScenarioSpec, shard: Shard) -> Result<ScenarioReport, ScenarioError> {
-    spec.validate()?;
-    if spec.checkpoint.is_some() {
-        return Err(ScenarioError::Spec {
-            scenario: spec.name.clone(),
-            problem: "sharded runs do not checkpoint; drop the checkpoint block \
-                      (shards are restarted whole) or run unsharded"
-                .into(),
-        });
-    }
-    match execute(spec, ExecMode::Shard(shard))? {
-        ExecOutcome::Report(report) => Ok(ScenarioReport {
-            spec: spec.clone(),
-            report,
-        }),
-        ExecOutcome::Partial { .. } => unreachable!("shard runs always complete"),
-    }
-}
-
-/// Runs a checkpointed scenario with a point budget: at most `budget`
-/// not-yet-completed points are evaluated before the manifest is
-/// committed and progress reported (`None` = run to completion). Call
-/// repeatedly — or from separate processes, one after another — until
-/// [`ScenarioProgress::Complete`]; the final report is byte-identical
-/// to an uninterrupted run's.
-///
-/// # Errors
-///
-/// [`ScenarioError`] if the spec fails validation, has no checkpoint
-/// block (there is nowhere to record progress), or the manifest cannot
-/// be read, written, or does not belong to this spec.
-pub fn run_budgeted(
-    spec: &ScenarioSpec,
-    budget: Option<usize>,
-) -> Result<ScenarioProgress, ScenarioError> {
-    spec.validate()?;
-    if spec.checkpoint.is_none() {
-        return Err(ScenarioError::Spec {
-            scenario: spec.name.clone(),
-            problem: "budgeted runs need a checkpoint block to record progress in".into(),
-        });
-    }
-    match execute(spec, ExecMode::Budgeted(budget))? {
-        ExecOutcome::Report(report) => Ok(ScenarioProgress::Complete(Box::new(ScenarioReport {
-            spec: spec.clone(),
-            report,
-        }))),
-        ExecOutcome::Partial { done, total } => Ok(ScenarioProgress::Partial { done, total }),
-    }
-}
-
-/// Runs a scenario on a shared [`Executor`] instead of a transient
-/// per-call thread pool.
-///
-/// The report is **byte-identical** to [`run`]'s: both paths evaluate
-/// the same per-point seeds and fold replicates through the same
-/// buffered aggregation. What changes is scheduling only — the
-/// executor's workers serve this campaign alongside any others
-/// submitted concurrently (fair round-robin at point granularity), so a
-/// long-lived service can run many scenarios without spawning a pool
-/// per request. The spec's `workers` hint is ignored on this path: the
-/// pool was sized when the executor was built (explicit count, else the
-/// `QIC_WORKERS` environment variable, else the machine's parallelism —
-/// see [`Executor::new`]).
-///
-/// # Errors
-///
-/// [`ScenarioError`] if the spec fails validation, or if it has a
-/// checkpoint block — executor runs neither read nor write manifests
-/// (resume bookkeeping belongs to the dedicated [`run_budgeted`] path),
-/// so combining the two would silently disable resume.
-pub fn run_on(spec: &ScenarioSpec, exec: &Executor) -> Result<ScenarioReport, ScenarioError> {
-    let report = run_on_cancellable(spec, exec, Arc::new(NoProgress), &CancelToken::new())?;
-    Ok(report.expect("an uncancelled run completes"))
-}
-
-/// [`run_on`] with live progress and cooperative cancellation — the
-/// service-layer entry point (`qic-serve` streams the sink's events to
-/// job watchers and trips the token on cancel/shutdown).
-///
-/// `progress` hears one start/finish pair per *point* (not per
-/// replicate). Cancelling stops further points from being claimed;
-/// points already evaluating finish, and the call returns `Ok(None)`
-/// instead of a report. A token that is never cancelled makes this
-/// exactly [`run_on`].
-///
-/// # Errors
-///
-/// As [`run_on`]: validation failures and checkpointed specs.
-pub fn run_on_cancellable(
+/// [`ScenarioError`] if the spec fails validation; if a shard plan
+/// meets a checkpoint block (a shard neither reads nor writes the
+/// manifest, so combining the two would silently disable resume); if a
+/// resume plan meets a spec without one (there is nowhere to record
+/// progress); if the observe directory cannot be created; or if the
+/// manifest cannot be read, written, or does not belong to this spec.
+pub fn run_with(
     spec: &ScenarioSpec,
     exec: &Executor,
-    progress: Arc<dyn ProgressSink + Send + Sync>,
-    cancel: &CancelToken,
-) -> Result<Option<ScenarioReport>, ScenarioError> {
+    plan: Plan,
+) -> Result<ScenarioProgress, ScenarioError> {
     spec.validate()?;
-    if spec.checkpoint.is_some() {
-        return Err(ScenarioError::Spec {
-            scenario: spec.name.clone(),
-            problem: "executor runs do not checkpoint; drop the checkpoint block \
-                      or use run_budgeted for resumable execution"
-                .into(),
-        });
+    execute(spec, exec, plan)
+}
+
+/// [`run_with`] minus validation: reads the plan against the spec's
+/// checkpoint block, prepares the output directories, and executes.
+fn execute(
+    spec: &ScenarioSpec,
+    exec: &Executor,
+    plan: Plan,
+) -> Result<ScenarioProgress, ScenarioError> {
+    let spec_err = |problem: &str| ScenarioError::Spec {
+        scenario: spec.name.clone(),
+        problem: problem.into(),
+    };
+    let points = match (plan.points, &spec.checkpoint) {
+        (Points::Shard(_), Some(_)) => {
+            return Err(spec_err(
+                "sharded runs do not checkpoint; drop the checkpoint block \
+                 (shards are restarted whole) or run unsharded",
+            ))
+        }
+        (Points::Resume { .. }, None) => {
+            return Err(spec_err(
+                "budgeted runs need a checkpoint block to record progress in",
+            ))
+        }
+        (Points::All, Some(ckpt)) => {
+            create_checkpoint_dir(&ckpt.dir)?;
+            Points::Resume {
+                checkpoint: spec
+                    .checkpoint_config()
+                    .expect("the spec has a checkpoint block"),
+                budget: None,
+            }
+        }
+        (resume @ Points::Resume { .. }, Some(ckpt)) => {
+            create_checkpoint_dir(&ckpt.dir)?;
+            resume
+        }
+        (points, None) => points,
+    };
+    if let Some(obs) = &spec.observe {
+        observe_dir(obs)?;
     }
     let pe = Arc::new(PointEval::new(spec));
     let eval = move |point: &SweepPoint<'_>, ctx: RunCtx| pe.eval(point, ctx);
-    let report = campaign(spec).run_on_observed(exec, eval, progress, cancel);
-    Ok(report.map(|report| ScenarioReport {
-        spec: spec.clone(),
-        report,
-    }))
+    let plan = Plan { points, ..plan };
+    Ok(match campaign(spec).execute(exec, plan, eval)? {
+        CampaignProgress::Complete(report) => {
+            ScenarioProgress::Complete(Box::new(ScenarioReport {
+                spec: spec.clone(),
+                report: *report,
+            }))
+        }
+        CampaignProgress::Partial { done, total } => ScenarioProgress::Partial { done, total },
+    })
 }
 
 fn campaign(spec: &ScenarioSpec) -> Campaign {
@@ -248,6 +220,18 @@ fn campaign(spec: &ScenarioSpec) -> Campaign {
         .seed(spec.seed)
         .replicates(spec.replicates)
         .workers(spec.workers)
+}
+
+impl ScenarioSpec {
+    /// Where the spec's checkpoint block puts the manifest —
+    /// `{dir}/{name}.ckpt.json`, committed every `every` points — as the
+    /// config a budgeted [`Plan::resume`] takes; `None` without a
+    /// checkpoint block.
+    pub fn checkpoint_config(&self) -> Option<CheckpointConfig> {
+        let ckpt = self.checkpoint.as_ref()?;
+        let path = Path::new(&ckpt.dir).join(format!("{}.ckpt.json", sanitize_stem(&self.name)));
+        Some(CheckpointConfig::new(path).every(ckpt.every as usize))
+    }
 }
 
 /// Maps path-hostile characters of a scenario name to `_`, the shared
@@ -265,68 +249,31 @@ fn sanitize_stem(name: &str) -> String {
         .collect()
 }
 
-/// Evaluates a validated spec's points on the transient pool under the
-/// chosen execution mode: plain, sharded, or checkpoint/resume
-/// (streaming aggregation, atomic manifest commits).
-fn execute(spec: &ScenarioSpec, mode: ExecMode) -> Result<ExecOutcome, ScenarioError> {
-    let pe = PointEval::new(spec);
-    let eval = |point: &SweepPoint<'_>, ctx: RunCtx| pe.eval(point, ctx);
-    let campaign = campaign(spec);
-    match (mode, &spec.checkpoint) {
-        (ExecMode::Shard(shard), _) => Ok(ExecOutcome::Report(campaign.run_shard(shard, eval))),
-        (ExecMode::Full, None) => Ok(ExecOutcome::Report(match &spec.observe {
-            // Campaign-level observability rides along: a machine-
-            // readable progress stream (wall-clock, outside the
-            // determinism contract) next to the traces. Checkpointed and
-            // sharded runs skip the stream (their eval still writes
-            // per-point traces) — the manifest / shard merge is their
-            // progress record.
-            Some(obs) => {
-                let total = spec.param_space().len() * spec.replicates as usize;
-                let path = Path::new(&obs.dir)
-                    .join(format!("{}.progress.jsonl", sanitize_stem(&spec.name)));
-                let file = std::fs::File::create(&path)
-                    .unwrap_or_else(|e| panic!("creating {}: {e}", path.display()));
-                campaign.run_with_progress(eval, &JsonlProgress::new(file, total))
-            }
-            None => campaign.run(eval),
-        })),
-        (ExecMode::Full, Some(ckpt)) => {
-            let config = checkpoint_config(spec, &ckpt.dir, ckpt.every)?;
-            let report = campaign.run_resumable(&config, eval)?;
-            Ok(ExecOutcome::Report(report))
-        }
-        (ExecMode::Budgeted(budget), Some(ckpt)) => {
-            let config = checkpoint_config(spec, &ckpt.dir, ckpt.every)?;
-            match campaign.run_resumable_budgeted(&config, budget, eval)? {
-                CampaignProgress::Complete(report) => Ok(ExecOutcome::Report(*report)),
-                CampaignProgress::Partial { done, total } => {
-                    Ok(ExecOutcome::Partial { done, total })
-                }
-            }
-        }
-        (ExecMode::Budgeted(_), None) => {
-            unreachable!("run_budgeted rejects specs without a checkpoint block")
-        }
+fn io_error(path: &Path, op: &'static str, e: &std::io::Error) -> ScenarioError {
+    ScenarioError::Io {
+        path: path.display().to_string(),
+        op,
+        message: e.to_string(),
     }
 }
 
-/// Builds the manifest location `{dir}/{stem}.ckpt.json`, creating the
-/// directory if needed.
-fn checkpoint_config(
-    spec: &ScenarioSpec,
-    dir: &str,
-    every: u32,
-) -> Result<CheckpointConfig, ScenarioError> {
+/// Creates the observe directory, so an unusable one fails the run
+/// before any point is evaluated.
+fn observe_dir(obs: &ObserveSpec) -> Result<PathBuf, ScenarioError> {
+    let dir = PathBuf::from(&obs.dir);
+    std::fs::create_dir_all(&dir).map_err(|e| io_error(&dir, "create observe dir", &e))?;
+    Ok(dir)
+}
+
+/// Creates the checkpoint manifest's directory.
+fn create_checkpoint_dir(dir: &str) -> Result<(), ScenarioError> {
     std::fs::create_dir_all(dir).map_err(|e| {
         ScenarioError::Checkpoint(CheckpointError::Io {
             path: dir.to_string(),
             op: "create dir",
             message: e.to_string(),
         })
-    })?;
-    let path = Path::new(dir).join(format!("{}.ckpt.json", sanitize_stem(&spec.name)));
-    Ok(CheckpointConfig::new(path).every(every as usize))
+    })
 }
 
 /// Writes one evaluation's trace exports under the observe directory.
@@ -355,10 +302,8 @@ fn write_traces(
 
 /// The owned evaluator behind every scenario point, built once per run
 /// from the spec. Everything one point evaluation needs is cloned out
-/// of the spec, so the same value serves both execution paths —
-/// borrowed by the transient scoped pool (`run` / `run_shard` /
-/// `run_budgeted`) and `Arc`'d into the shared [`Executor`] (`run_on`),
-/// whose tasks must be `Send + 'static`.
+/// of the spec, because the [`Executor`]'s tasks must be
+/// `Send + 'static`.
 enum PointEval {
     /// A simulated machine point.
     Machine(Box<MachineEval>),
@@ -408,8 +353,7 @@ struct MachineEval {
 }
 
 impl MachineEval {
-    /// Clones the evaluation state out of a validated spec and creates
-    /// the observe directory if trace export is requested.
+    /// Clones the evaluation state out of a validated spec.
     fn new(spec: &ScenarioSpec, machine: &MachineSpec, workload: &WorkloadSpec) -> MachineEval {
         let workload_varies = spec
             .axes
@@ -420,10 +364,6 @@ impl MachineEval {
         } else {
             workload.program()
         };
-        if let Some(obs) = &spec.observe {
-            std::fs::create_dir_all(&obs.dir)
-                .unwrap_or_else(|e| panic!("creating observe directory {}: {e}", obs.dir));
-        }
         MachineEval {
             name: spec.name.clone(),
             axes: spec.axes.clone(),

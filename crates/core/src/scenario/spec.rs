@@ -1985,8 +1985,8 @@ fn decode_axis(value: &Json) -> Result<ScenarioAxis, JsonError> {
 }
 
 /// Errors raised by the Scenario API: spec validation, per-point
-/// network-config validation (with scenario context), or JSON
-/// syntax/schema problems.
+/// network-config validation (with scenario context), JSON
+/// syntax/schema problems, or the up-front file I/O a run performs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     /// A spec-level invariant failed.
@@ -2012,6 +2012,17 @@ pub enum ScenarioError {
     /// A checkpointed run could not load, validate or commit its
     /// manifest.
     Checkpoint(CheckpointError),
+    /// A run could not prepare its observe output (the directory or
+    /// the progress stream) before evaluating any point.
+    Io {
+        /// The path involved.
+        path: String,
+        /// Which operation failed (`"create observe dir"`,
+        /// `"create progress stream"`).
+        op: &'static str,
+        /// The rendered `std::io::Error`.
+        message: String,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -2030,6 +2041,9 @@ impl fmt::Display for ScenarioError {
             },
             ScenarioError::Json(err) => write!(f, "{err}"),
             ScenarioError::Checkpoint(err) => write!(f, "{err}"),
+            ScenarioError::Io { path, op, message } => {
+                write!(f, "{op} failed for {path}: {message}")
+            }
         }
     }
 }
@@ -2039,7 +2053,7 @@ impl std::error::Error for ScenarioError {
         match self {
             ScenarioError::Config { source, .. } => Some(source),
             ScenarioError::Json(err) => Some(err),
-            ScenarioError::Spec { .. } => None,
+            ScenarioError::Spec { .. } | ScenarioError::Io { .. } => None,
             ScenarioError::Checkpoint(err) => Some(err),
         }
     }

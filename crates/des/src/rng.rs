@@ -3,6 +3,20 @@
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
+/// The 64-bit golden ratio, SplitMix64's increment.
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finaliser: a bijective avalanche mix of a 64-bit
+/// word. The one mixer behind every derived seed and digest in the
+/// workspace — campaign seeds and spec digests (`qic-sweep`) and fault
+/// draws (`qic-fault`), whose full SplitMix64 step adds
+/// [`GOLDEN_GAMMA`] before mixing.
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A deterministic random source for simulation runs.
 ///
 /// All stochastic choices in a simulation (purification successes, tie

@@ -29,8 +29,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use qic_core::scenario::{self, ScenarioReport, ScenarioSpec, SpecDigest};
-use qic_sweep::{CampaignReport, CancelToken, Executor, Metrics, ProgressSink};
+use qic_core::scenario::{self, ScenarioProgress, ScenarioReport, ScenarioSpec, SpecDigest};
+use qic_sweep::{CampaignReport, CancelToken, Executor, Metrics, Plan, ProgressSink};
 
 use crate::cache::CacheDir;
 use crate::job::{CacheSource, JobId, JobState};
@@ -287,7 +287,8 @@ impl ServeHandle {
         } else if spec.checkpoint.is_some() {
             Some(
                 "checkpoint blocks are not served: the cache already makes reruns cheap; \
-                  use qic::run_budgeted for resumable local execution"
+                  run such specs locally via qic::run, or qic::run_with and a resume plan \
+                  for budgeted execution"
                     .into(),
             )
         } else {
@@ -604,11 +605,16 @@ fn serve_job(core: &Arc<Core>, id: u64) {
         core: Arc::clone(core),
         id,
     });
+    let plan = Plan {
+        progress,
+        cancel,
+        ..Plan::all()
+    };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        scenario::run_on_cancellable(&spec, &core.executor, progress, &cancel)
+        scenario::run_with(&spec, &core.executor, plan)
     }));
     match outcome {
-        Ok(Ok(Some(report))) => {
+        Ok(Ok(ScenarioProgress::Complete(report))) => {
             let payload = Arc::new(report.report);
             if let Some(cache) = &core.cache {
                 if cache.store(&spec, &payload).is_err() {
@@ -620,7 +626,7 @@ fn serve_job(core: &Arc<Core>, id: u64) {
             core.resolve_done(&mut st, id, &payload, CacheSource::Computed);
             settle_followers(core, &mut st, digest, &payload);
         }
-        Ok(Ok(None)) => {
+        Ok(Ok(ScenarioProgress::Partial { .. })) => {
             // Cancelled mid-run. Followers asked for the same result
             // but did not ask to cancel — requeue each for its own
             // attempt.

@@ -3,12 +3,13 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::checkpoint::{CheckpointConfig, CheckpointError, Manifest};
 use crate::derive_seed;
-use crate::exec::{default_workers, run_indexed_observed, CancelToken, Executor};
+use crate::exec::{default_workers, CancelToken, Executor};
 use crate::progress::{NoProgress, ProgressSink};
 use crate::report::{CampaignReport, PointReport};
 use crate::shard::Shard;
-use crate::space::{AxisValue, ParamSpace, SweepPoint};
+use crate::space::{ParamSpace, SweepPoint};
 use qic_des::metrics::Metrics;
 use qic_des::stats::Tally;
 
@@ -20,6 +21,122 @@ pub struct RunCtx {
     pub seed: u64,
     /// Replicate number, `0..replicates`.
     pub replicate: u32,
+}
+
+/// Which points of a campaign one [`Campaign::execute`] call evaluates.
+#[derive(Debug, Clone)]
+pub enum Points {
+    /// Every point; replicates are buffered, so the report keeps each
+    /// point's raw replicate metrics.
+    All,
+    /// One contiguous shard `i/K` — exactly the points of
+    /// [`Shard::point_range`], buffered like [`Points::All`], reported
+    /// alone. Per-point seeds derive from the point's **absolute**
+    /// index, so merging every shard's report with
+    /// [`CampaignReport::merge`] reproduces the whole campaign's report
+    /// byte for byte: run shard `i/K` on machine `i`, ship the records
+    /// home, merge.
+    Shard(Shard),
+    /// Resume from a checkpoint manifest: load the points a previous
+    /// run committed, evaluate at most `budget` of the missing ones
+    /// (`None` = all of them), and commit the manifest as points land.
+    ///
+    /// Resumed points fold their replicates into streaming tallies
+    /// (a point's replicates never co-reside in memory), so
+    /// [`PointReport::replicates`] is empty and the JSON emitter's
+    /// `samples` arrays are too; the summaries, the CSV and the record
+    /// JSON are bit-for-bit those of a buffered run. Kill and resume as
+    /// often as you like: the final report is byte-identical to an
+    /// uninterrupted resume run's.
+    Resume {
+        /// Where the manifest lives and how often it is committed.
+        checkpoint: CheckpointConfig,
+        /// The most not-yet-completed points to evaluate this call.
+        budget: Option<usize>,
+    },
+}
+
+/// How one [`Campaign::execute`] call runs: the points it evaluates, a
+/// progress observer, and a cancellation latch.
+///
+/// Build one with [`Plan::all`], [`Plan::shard`] or [`Plan::resume`]
+/// and override the observer or latch with struct-update syntax:
+///
+/// ```
+/// use std::sync::Arc;
+/// use qic_sweep::{CancelToken, JsonlProgress, Plan};
+///
+/// let cancel = CancelToken::new();
+/// let plan = Plan {
+///     progress: Arc::new(JsonlProgress::new(std::io::sink(), 6)),
+///     cancel: cancel.clone(),
+///     ..Plan::all()
+/// };
+/// # let _ = plan;
+/// ```
+pub struct Plan {
+    /// The point set.
+    pub points: Points,
+    /// Hears every point claim and finish, from the worker that ran it.
+    /// Task indices are positions in the plan's point set (the point
+    /// indices themselves for [`Points::All`]).
+    pub progress: Arc<dyn ProgressSink + Send + Sync>,
+    /// Tripping it stops further point claims; in-flight points finish
+    /// and the run returns [`CampaignProgress::Partial`].
+    pub cancel: CancelToken,
+}
+
+impl Plan {
+    /// The whole campaign, unobserved and never cancelled.
+    pub fn all() -> Plan {
+        Plan::of(Points::All)
+    }
+
+    /// Shard `shard` of the campaign, unobserved and never cancelled.
+    pub fn shard(shard: Shard) -> Plan {
+        Plan::of(Points::Shard(shard))
+    }
+
+    /// Resume from `checkpoint`, evaluating at most `budget` missing
+    /// points; unobserved and never cancelled.
+    pub fn resume(checkpoint: CheckpointConfig, budget: Option<usize>) -> Plan {
+        Plan::of(Points::Resume { checkpoint, budget })
+    }
+
+    fn of(points: Points) -> Plan {
+        Plan {
+            points,
+            progress: Arc::new(NoProgress),
+            cancel: CancelToken::new(),
+        }
+    }
+}
+
+/// Outcome of [`Campaign::execute`]: the finished report, or how far the
+/// run got.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CampaignProgress {
+    /// Every point of the plan completed; this is its report.
+    Complete(Box<CampaignReport>),
+    /// The run was cancelled, or a resume plan's budget ran out, first.
+    /// A resume plan's manifest holds the finished points and a later
+    /// run picks up from there.
+    Partial {
+        /// Points completed so far (for a resume plan: across all runs).
+        done: usize,
+        /// Points in the plan.
+        total: usize,
+    },
+}
+
+impl CampaignProgress {
+    /// The finished report; `None` for partial progress.
+    pub fn into_report(self) -> Option<CampaignReport> {
+        match self {
+            CampaignProgress::Complete(report) => Some(*report),
+            CampaignProgress::Partial { .. } => None,
+        }
+    }
 }
 
 /// A declarative sweep: a parameter space, replication, seeding and a
@@ -85,8 +202,8 @@ impl Campaign {
         self
     }
 
-    /// Pins the worker-thread count; `0` (the default) uses
-    /// [`default_workers`].
+    /// Pins the worker-thread count [`Campaign::run`] uses; `0` (the
+    /// default) uses [`default_workers`].
     pub fn workers(mut self, workers: usize) -> Campaign {
         self.workers = workers;
         self
@@ -112,305 +229,189 @@ impl Campaign {
         self.seed
     }
 
-    fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
+    /// The pool size [`Campaign::run`] uses: the pinned (or default)
+    /// worker count, capped at the number of points.
+    pub fn pool_size(&self) -> usize {
+        let workers = if self.workers == 0 {
             default_workers()
         } else {
             self.workers
-        }
+        };
+        workers.min(self.space.len()).max(1)
     }
 
-    /// The [`RunCtx`] for one `(point, replicate)` evaluation — the
-    /// same derivation whether the campaign runs whole, sharded,
-    /// streamed or resumed.
-    fn ctx(&self, point_index: usize, replicate: u32) -> RunCtx {
-        RunCtx {
-            seed: derive_seed(self.seed, point_index as u64, u64::from(replicate)),
-            replicate,
-        }
-    }
-
-    /// Evaluates every `(point, replicate)` on the worker pool and
-    /// aggregates the streamed results into a [`CampaignReport`].
+    /// Evaluates every point on a per-call [`Executor`] of
+    /// [`Campaign::pool_size`] workers and returns the report.
     ///
-    /// Results are aggregated as they arrive (a point's summary is
-    /// finalised the moment its last replicate lands), but addressed by
-    /// point index, so the report is byte-identical for any worker
-    /// count. A panic inside `eval` cancels the remaining points and
-    /// propagates.
+    /// This is [`Campaign::execute`] with [`Plan::all`]: results are
+    /// addressed by point index, so the report is byte-identical for
+    /// any worker count. A panic inside `eval` cancels the remaining
+    /// points and propagates.
     pub fn run<F>(&self, eval: F) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        self.run_with_progress(eval, &NoProgress)
-    }
-
-    /// [`Campaign::run`] with a [`ProgressSink`] observing the executor:
-    /// the sink hears every task claim and completion as they happen
-    /// (points done, in-flight, per-worker attribution).
-    ///
-    /// Progress output is wall-clock and scheduling-dependent; the
-    /// returned report is still byte-identical for any worker count
-    /// (per-point wall times are captured in
-    /// [`CampaignReport::wall_ns`], which is excluded from report
-    /// equality and serialization).
-    pub fn run_with_progress<F>(&self, eval: F, progress: &dyn ProgressSink) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let (points, wall_ns) = self.run_range_buffered(0..self.space.len(), &eval, progress);
-        self.report_of(points, wall_ns)
-    }
-
-    /// Evaluates the campaign on a shared [`Executor`] instead of the
-    /// per-call transient pool — the multi-tenant path behind
-    /// `qic-serve`, where many campaigns share one machine fairly.
-    ///
-    /// The report is **byte-identical** to [`Campaign::run`]'s (same
-    /// buffered per-point fold, same derived seeds, index-addressed),
-    /// whatever the pool size or concurrent load. Differences from
-    /// `run`:
-    ///
-    /// * scheduling is per **point** (one task per point, replicates
-    ///   evaluated in-task), the granularity at which the executor
-    ///   round-robins between concurrent submissions;
-    /// * the campaign's own [`Campaign::workers`] setting is ignored —
-    ///   the pool was sized at [`Executor::new`] (explicit count >
-    ///   `QIC_WORKERS` > default);
-    /// * `eval` must be `Send + 'static` (the pool's threads outlive
-    ///   this call's borrows).
-    ///
-    /// A panic inside `eval` cancels the remaining points of **this**
-    /// campaign and propagates here; concurrent submissions are
-    /// unaffected.
-    pub fn run_on<F>(&self, exec: &Executor, eval: F) -> CampaignReport
     where
         F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Send + Sync + 'static,
     {
-        self.run_on_observed(exec, eval, Arc::new(NoProgress), &CancelToken::new())
-            .expect("an uncancelled run completes")
+        self.execute(&Executor::new(self.pool_size()), Plan::all(), eval)
+            .ok()
+            .and_then(CampaignProgress::into_report)
+            .expect("an uncancelled whole-campaign run completes")
     }
 
-    /// [`Campaign::run_on`] with observability and cancellation:
-    /// `progress` hears every point claim/finish (task indices are
-    /// **point** indices here, with pool-worker attribution), and
-    /// tripping `cancel` stops further point claims — in-flight points
-    /// finish, then the run returns `None`. `Some(report)` is
-    /// byte-identical to [`Campaign::run`]'s.
-    pub fn run_on_observed<F>(
+    /// Evaluates the points `plan` selects on `exec` — the one way a
+    /// campaign runs, whether whole, sharded or resumed, on a per-call
+    /// pool or on one shared by many concurrent campaigns.
+    ///
+    /// Each point is one task: its replicates are evaluated in the task
+    /// with seeds from [`derive_seed`], and the result is placed by
+    /// point index. The report is therefore byte-identical whatever
+    /// the pool size, the concurrent load on `exec`, or the shard split
+    /// (see [`Points`] for how each point set folds replicates). The
+    /// campaign's own [`Campaign::workers`] setting is not used here:
+    /// the pool was sized at [`Executor::new`].
+    ///
+    /// A panic inside `eval` (or in the plan's progress sink) cancels
+    /// the remaining points of **this** campaign and propagates here;
+    /// concurrent submissions are unaffected.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError`] if a resume plan's manifest cannot be read,
+    /// written, or does not belong to this campaign. Work committed
+    /// before the error is preserved in the manifest.
+    pub fn execute<F>(
         &self,
         exec: &Executor,
+        plan: Plan,
         eval: F,
-        progress: Arc<dyn ProgressSink + Send + Sync>,
-        cancel: &CancelToken,
-    ) -> Option<CampaignReport>
+    ) -> Result<CampaignProgress, CheckpointError>
     where
         F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Send + Sync + 'static,
     {
         let n_points = self.space.len();
-        let campaign = Arc::new(self.clone());
-        let task = {
-            let campaign = Arc::clone(&campaign);
-            move |index: usize| -> PointReport {
-                let point = campaign.space.point(index);
-                // The same replicate-buffering fold as the transient
-                // path (`run_range_buffered`), so the report bytes —
-                // including per-metric `samples` arrays — match.
-                let replicates: Vec<Metrics> = (0..campaign.replicates)
-                    .map(|replicate| eval(&point, campaign.ctx(index, replicate)))
-                    .collect();
-                PointReport::from_replicates(
-                    index,
-                    point_params(&campaign.space, index),
-                    replicates,
-                )
+        let mut slots: Vec<Option<PointReport>> = Vec::new();
+        slots.resize_with(n_points, || None);
+        let mut wall_ns: Vec<u64> = vec![0; n_points];
+        let mut manifest = None;
+        // The points the report covers, and those still to evaluate.
+        let (reported, todo): (Range<usize>, Vec<usize>) = match &plan.points {
+            Points::All => (0..n_points, (0..n_points).collect()),
+            Points::Shard(shard) => {
+                let range = shard.point_range(n_points);
+                (range.clone(), range.collect())
+            }
+            Points::Resume { checkpoint, budget } => {
+                let m = Manifest::new(self, checkpoint);
+                slots = m.load(n_points)?;
+                let missing = (0..n_points).filter(|&i| slots[i].is_none());
+                let todo = missing.take(budget.unwrap_or(usize::MAX)).collect();
+                manifest = Some(m);
+                (0..n_points, todo)
             }
         };
-        let mut slots: Vec<Option<(PointReport, u64)>> = Vec::new();
-        slots.resize_with(n_points, || None);
-        let complete = exec.run_indexed_observed(
-            n_points,
-            task,
-            |index, point, wall_ns| slots[index] = Some((point, wall_ns)),
-            progress,
-            cancel,
-        );
-        if !complete {
-            return None;
-        }
-        let (points, wall_ns) = slots
-            .into_iter()
-            .map(|s| s.expect("every point completed"))
-            .unzip();
-        Some(self.report_of(points, wall_ns))
-    }
 
-    /// Evaluates one contiguous shard of the campaign — exactly the
-    /// points of [`Shard::point_range`], full replicate buffering like
-    /// [`Campaign::run`] — and reports only those points.
-    ///
-    /// Per-point seeds derive from the point's **absolute** index, so a
-    /// shard's evaluations are identical to the same points of a serial
-    /// run; merging every shard's report with [`CampaignReport::merge`]
-    /// reproduces the serial report byte for byte (JSON and CSV). This
-    /// is the cross-process fan-out primitive: run shard `i/K` on
-    /// machine `i`, ship the records home, merge.
-    ///
-    /// [`CampaignReport::merge`]: crate::report::CampaignReport::merge
-    pub fn run_shard<F>(&self, shard: Shard, eval: F) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let range = shard.point_range(self.space.len());
-        let (points, wall_ns) = self.run_range_buffered(range, &eval, &NoProgress);
-        self.report_of(points, wall_ns)
-    }
-
-    /// Evaluates the whole campaign with **streaming aggregation**: one
-    /// task per point, replicates folded into per-metric Welford
-    /// tallies ([`qic_des::stats::Tally`]) as they are produced, so a
-    /// point's replicates never co-reside in memory.
-    ///
-    /// The resulting summaries (and therefore the CSV emitter's bytes)
-    /// are bit-for-bit identical to [`Campaign::run`]'s — the fold
-    /// visits the same samples in the same order. What streaming gives
-    /// up is the raw replicate list: [`PointReport::replicates`] is
-    /// empty, so [`CampaignReport::to_json`]'s per-metric `samples`
-    /// arrays are empty too. Compare streaming runs against streaming
-    /// runs for JSON byte-identity; CSV is identical across both modes.
-    pub fn run_streaming<F>(&self, eval: F) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let indices: Vec<usize> = (0..self.space.len()).collect();
-        let mut slots: Vec<Option<(PointReport, u64)>> = Vec::new();
-        slots.resize_with(indices.len(), || None);
-        self.run_point_set(&indices, &eval, |point, wall| {
-            let i = point.index;
-            slots[i] = Some((point, wall));
-        });
-        let (points, wall_ns) = slots
-            .into_iter()
-            .map(|s| s.expect("every point completed"))
-            .unzip();
-        self.report_of(points, wall_ns)
-    }
-
-    /// Buffered (replicate-retaining) evaluation of a contiguous point
-    /// range: the engine behind [`Campaign::run`] and
-    /// [`Campaign::run_shard`]. Returns the completed points in index
-    /// order plus their wall times.
-    fn run_range_buffered<F>(
-        &self,
-        range: Range<usize>,
-        eval: &F,
-        progress: &dyn ProgressSink,
-    ) -> (Vec<PointReport>, Vec<u64>)
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let base = range.start;
-        let n_points = range.len();
-        let reps = self.replicates as usize;
-        let tasks = n_points * reps;
-
-        // Replicate slots per point, filled as results stream in; a
-        // point's report is built once its replicate set completes.
-        let mut pending: Vec<Vec<Option<Metrics>>> = vec![vec![None; reps]; n_points];
-        let mut remaining: Vec<usize> = vec![reps; n_points];
-        let mut reports: Vec<Option<PointReport>> = Vec::new();
-        reports.resize_with(n_points, || None);
-        // Per-point wall time: replicate wall times summed. Measurement
-        // noise only — excluded from report equality and serialization.
-        let mut wall_ns: Vec<u64> = vec![0; n_points];
-
-        run_indexed_observed(
-            tasks,
-            self.resolved_workers(),
-            |task| {
-                let point = self.space.point(base + task / reps);
-                let replicate = (task % reps) as u32;
-                eval(&point, self.ctx(point.index(), replicate))
-            },
-            |task, metrics, task_wall_ns| {
-                let (p, r) = (task / reps, task % reps);
-                wall_ns[p] = wall_ns[p].saturating_add(task_wall_ns);
-                pending[p][r] = Some(metrics);
-                remaining[p] -= 1;
-                if remaining[p] == 0 {
-                    let replicates = pending[p]
-                        .iter_mut()
-                        .map(|m| m.take().expect("all replicates landed"))
-                        .collect();
-                    reports[p] = Some(PointReport::from_replicates(
-                        base + p,
-                        point_params(&self.space, base + p),
-                        replicates,
-                    ));
-                }
-            },
-            progress,
-        );
-
-        (
-            reports
-                .into_iter()
-                .map(|r| r.expect("every point completed"))
-                .collect(),
-            wall_ns,
-        )
-    }
-
-    /// Streaming evaluation of an arbitrary point-index set (one task
-    /// per point, replicates folded sequentially into tallies): the
-    /// engine behind [`Campaign::run_streaming`] and checkpoint resume,
-    /// which evaluates exactly the not-yet-completed indices.
-    pub(crate) fn run_point_set<F, S>(&self, indices: &[usize], eval: &F, mut sink: S)
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-        S: FnMut(PointReport, u64),
-    {
-        let reps = self.replicates;
-        run_indexed_observed(
-            indices.len(),
-            self.resolved_workers(),
-            |task| {
-                let point_index = indices[task];
-                let point = self.space.point(point_index);
-                // First-appearance metric order, samples in replicate
-                // order: the same fold `PointReport::from_replicates`
-                // performs, so the summaries are bitwise identical —
-                // but each replicate's metrics are dropped as soon as
-                // they are folded.
-                let mut names: Vec<String> = Vec::new();
-                let mut tallies: Vec<Tally> = Vec::new();
-                for replicate in 0..reps {
-                    let metrics = eval(&point, self.ctx(point_index, replicate));
-                    for (name, v) in metrics.iter() {
-                        match names.iter().position(|n| n == name) {
-                            Some(i) => tallies[i].record(v),
-                            None => {
-                                names.push(name.to_string());
-                                let mut t = Tally::new();
-                                t.record(v);
-                                tallies.push(t);
+        if !todo.is_empty() {
+            let tasks = todo.len();
+            let streaming = manifest.is_some();
+            let campaign = Arc::new(self.clone());
+            let task = move |task: usize| campaign.eval_point(todo[task], streaming, &eval);
+            // The sink runs on this thread, so committing from it is
+            // ordinary sequential file I/O; a commit error stops
+            // further claims and fails the run once in-flight points
+            // drain.
+            let mut commit_error: Option<CheckpointError> = None;
+            let mut fresh = 0usize;
+            exec.run_indexed(
+                tasks,
+                task,
+                |_task, point, wall| {
+                    if commit_error.is_some() {
+                        return;
+                    }
+                    let index = point.index;
+                    wall_ns[index] = wall;
+                    slots[index] = Some(point);
+                    fresh += 1;
+                    if let Some(m) = &manifest {
+                        if fresh % m.every() == 0 {
+                            if let Err(e) = m.commit(&slots) {
+                                commit_error = Some(e);
+                                plan.cancel.cancel();
                             }
                         }
                     }
+                },
+                plan.progress,
+                &plan.cancel,
+            );
+            if let Some(e) = commit_error {
+                return Err(e);
+            }
+            if let Some(m) = &manifest {
+                m.commit(&slots)?;
+            }
+        }
+
+        let total = reported.len();
+        let done = slots[reported.clone()].iter().flatten().count();
+        if done < total {
+            return Ok(CampaignProgress::Partial { done, total });
+        }
+        let points = slots
+            .drain(reported.clone())
+            .map(|s| s.expect("every point completed"))
+            .collect();
+        let wall_ns = wall_ns[reported].to_vec();
+        Ok(CampaignProgress::Complete(Box::new(
+            self.report_of(points, wall_ns),
+        )))
+    }
+
+    /// Evaluates every replicate of point `index` in sequence. Buffered
+    /// (`streaming == false`) keeps the replicate metrics in the
+    /// report; streaming folds each into per-metric tallies as it is
+    /// produced — first-appearance metric order, samples in replicate
+    /// order, the same fold [`PointReport::from_replicates`] performs —
+    /// so the summaries are bitwise identical either way.
+    fn eval_point<F>(&self, index: usize, streaming: bool, eval: &F) -> PointReport
+    where
+        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics,
+    {
+        let point = self.space.point(index);
+        let params = point
+            .params()
+            .into_iter()
+            .map(|(n, v)| (n.to_string(), v.clone()))
+            .collect();
+        let ctx = |replicate| RunCtx {
+            seed: derive_seed(self.seed, index as u64, u64::from(replicate)),
+            replicate,
+        };
+        if !streaming {
+            let replicates = (0..self.replicates)
+                .map(|replicate| eval(&point, ctx(replicate)))
+                .collect();
+            return PointReport::from_replicates(index, params, replicates);
+        }
+        let mut names: Vec<String> = Vec::new();
+        let mut tallies: Vec<Tally> = Vec::new();
+        for replicate in 0..self.replicates {
+            for (name, v) in eval(&point, ctx(replicate)).iter() {
+                match names.iter().position(|n| n == name) {
+                    Some(i) => tallies[i].record(v),
+                    None => {
+                        names.push(name.to_string());
+                        let mut t = Tally::new();
+                        t.record(v);
+                        tallies.push(t);
+                    }
                 }
-                PointReport::from_tallies(
-                    point_index,
-                    point_params(&self.space, point_index),
-                    names.into_iter().zip(tallies).collect(),
-                )
-            },
-            |_task, point, wall_ns| sink(point, wall_ns),
-            &NoProgress {},
-        );
+            }
+        }
+        PointReport::from_tallies(index, params, names.into_iter().zip(tallies).collect())
     }
 
     /// Wraps completed points into the campaign's report envelope.
-    pub(crate) fn report_of(&self, points: Vec<PointReport>, wall_ns: Vec<u64>) -> CampaignReport {
+    fn report_of(&self, points: Vec<PointReport>, wall_ns: Vec<u64>) -> CampaignReport {
         CampaignReport {
             name: self.name.clone(),
             seed: self.seed,
@@ -422,19 +423,19 @@ impl Campaign {
     }
 }
 
-fn point_params(space: &ParamSpace, index: usize) -> Vec<(String, AxisValue)> {
-    space
-        .point(index)
-        .params()
-        .into_iter()
-        .map(|(n, v)| (n.to_string(), v.clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::Axis;
+    use crate::space::{Axis, AxisValue};
+
+    /// Runs `plan` to completion on a fresh pool of `workers`.
+    fn complete(campaign: &Campaign, workers: usize, plan: Plan) -> CampaignReport {
+        campaign
+            .execute(&Executor::new(workers), plan, eval)
+            .unwrap()
+            .into_report()
+            .expect("the plan completes")
+    }
 
     fn toy_space() -> ParamSpace {
         ParamSpace::new()
@@ -502,24 +503,30 @@ mod tests {
 
     #[test]
     fn progress_run_matches_plain_run_and_captures_wall_times() {
+        use crate::exec::tests::SharedBuf;
         use crate::progress::JsonlProgress;
         let plain = Campaign::new("p", toy_space())
             .replicates(2)
             .seed(9)
             .workers(2)
             .run(eval);
-        let sink = JsonlProgress::new(Vec::new(), 12);
-        let observed = Campaign::new("p", toy_space())
-            .replicates(2)
-            .seed(9)
-            .workers(2)
-            .run_with_progress(eval, &sink);
+        let buf = SharedBuf::default();
+        let sink = Arc::new(JsonlProgress::new(buf.clone(), 6));
+        let plan = Plan {
+            progress: Arc::clone(&sink) as _,
+            ..Plan::all()
+        };
+        let observed = complete(
+            &Campaign::new("p", toy_space()).replicates(2).seed(9),
+            2,
+            plan,
+        );
         assert_eq!(plain, observed, "observation must not perturb results");
         assert_eq!(plain.to_json(), observed.to_json());
         assert_eq!(observed.wall_ns.len(), 6, "one wall time per point");
-        assert_eq!(sink.done(), 12, "6 points x 2 replicates");
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text.lines().count(), 24, "a start and done line per task");
+        assert_eq!(sink.done(), 6, "one task per point");
+        let text = buf.text();
+        assert_eq!(text.lines().count(), 12, "a start and done line per task");
     }
 
     #[test]
@@ -568,7 +575,7 @@ mod tests {
         let serial = toy_campaign().workers(1).run(eval);
         for count in 1..=6usize {
             let parts: Vec<CampaignReport> = (0..count)
-                .map(|i| toy_campaign().run_shard(Shard::new(i, count), eval))
+                .map(|i| complete(&toy_campaign(), 3, Plan::shard(Shard::new(i, count))))
                 .collect();
             let merged = CampaignReport::merge(parts).unwrap();
             assert_eq!(merged, serial, "{count} shards");
@@ -586,7 +593,7 @@ mod tests {
     fn shard_merge_order_does_not_matter() {
         let serial = toy_campaign().run(eval);
         let mut parts: Vec<CampaignReport> = (0..3)
-            .map(|i| toy_campaign().run_shard(Shard::new(i, 3), eval))
+            .map(|i| complete(&toy_campaign(), 3, Plan::shard(Shard::new(i, 3))))
             .collect();
         parts.reverse();
         assert_eq!(CampaignReport::merge(parts).unwrap(), serial);
@@ -595,7 +602,8 @@ mod tests {
     #[test]
     fn shard_merge_rejects_gaps_overlaps_and_foreign_parts() {
         use crate::shard::MergeError;
-        let shard = |i: usize, k: usize| toy_campaign().run_shard(Shard::new(i, k), eval);
+        let shard =
+            |i: usize, k: usize| complete(&toy_campaign(), 3, Plan::shard(Shard::new(i, k)));
         // Missing the second half.
         let err = CampaignReport::merge(vec![shard(0, 2)]).unwrap_err();
         assert!(matches!(err, MergeError::Gap { index: 3 }), "{err}");
@@ -603,7 +611,7 @@ mod tests {
         let err = CampaignReport::merge(vec![shard(0, 2), shard(0, 2)]).unwrap_err();
         assert!(matches!(err, MergeError::Overlap { index: 0 }), "{err}");
         // A shard of a different campaign seed.
-        let foreign = toy_campaign().seed(7).run_shard(Shard::new(1, 2), eval);
+        let foreign = complete(&toy_campaign().seed(7), 3, Plan::shard(Shard::new(1, 2)));
         let err = CampaignReport::merge(vec![shard(0, 2), foreign]).unwrap_err();
         assert!(
             matches!(err, MergeError::Mismatch { field: "seed" }),
@@ -612,10 +620,30 @@ mod tests {
         assert!(CampaignReport::merge(vec![]).is_err());
     }
 
+    /// A fresh manifest path under the temp dir.
+    fn fresh_manifest(tag: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("qic_sweep_{tag}_{}.ckpt.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// A resume plan over a fresh manifest: the streaming fold.
+    fn streamed(campaign: &Campaign, workers: usize) -> CampaignReport {
+        let path = fresh_manifest(&format!("stream{workers}"));
+        let report = complete(
+            campaign,
+            workers,
+            Plan::resume(CheckpointConfig::new(&path), None),
+        );
+        let _ = std::fs::remove_file(&path);
+        report
+    }
+
     #[test]
     fn streaming_matches_buffered_summaries_and_csv() {
         let buffered = toy_campaign().run(eval);
-        let streamed = toy_campaign().run_streaming(eval);
+        let streamed = streamed(&toy_campaign(), 3);
         // Summaries are bitwise identical (same fold, same order)...
         for (b, s) in buffered.points.iter().zip(&streamed.points) {
             assert_eq!(b.index, s.index);
@@ -631,9 +659,9 @@ mod tests {
 
     #[test]
     fn streaming_is_deterministic_across_worker_counts() {
-        let one = toy_campaign().workers(1).run_streaming(eval);
+        let one = streamed(&toy_campaign(), 1);
         for w in [2, 4, 8] {
-            let many = toy_campaign().workers(w).run_streaming(eval);
+            let many = streamed(&toy_campaign(), w);
             assert_eq!(one, many, "{w} workers");
             assert_eq!(one.to_record_json(), many.to_record_json(), "{w} workers");
         }
@@ -641,11 +669,22 @@ mod tests {
 
     #[test]
     fn streaming_sink_sees_every_point_exactly_once() {
-        let mut seen = vec![0usize; 6];
-        let indices: Vec<usize> = (0..6).collect();
-        toy_campaign().run_point_set(&indices, &eval, |point, _wall| {
-            seen[point.index] += 1;
-        });
-        assert_eq!(seen, vec![1; 6]);
+        let seen = Arc::new(std::sync::Mutex::new(vec![0usize; 6]));
+        let counter = Arc::clone(&seen);
+        let path = fresh_manifest("once");
+        toy_campaign()
+            .execute(
+                &Executor::new(3),
+                Plan::resume(CheckpointConfig::new(&path), None),
+                move |point, ctx| {
+                    if ctx.replicate == 0 {
+                        counter.lock().unwrap()[point.index()] += 1;
+                    }
+                    eval(point, ctx)
+                },
+            )
+            .unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(*seen.lock().unwrap(), vec![1; 6]);
     }
 }

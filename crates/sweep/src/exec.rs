@@ -1,34 +1,30 @@
-//! The multi-threaded task executors behind [`Campaign::run`] and
-//! [`Campaign::run_on`].
+//! The one worker pool behind every campaign: the shared [`Executor`].
 //!
-//! Two pools live here:
+//! An `Executor` keeps its threads alive and serves many concurrent
+//! submissions with fair round-robin scheduling, bounded admission,
+//! cooperative cancellation ([`CancelToken`]) and panic propagation.
+//! Long-lived services (`qic-serve`) share one across every job;
+//! [`Campaign::run`] builds a per-call one sized to the campaign and
+//! drops it when the run ends. Both go through
+//! [`Campaign::execute`].
 //!
-//! * the **transient pool** ([`run_indexed_observed`]) that
-//!   [`Campaign::run`] spins up per call — scoped threads, so the task
-//!   closure may borrow freely;
-//! * the **shared [`Executor`]** — a persistent pool serving many
-//!   concurrent submissions with fair round-robin scheduling, bounded
-//!   admission, cooperative cancellation ([`CancelToken`]) and panic
-//!   propagation, for long-lived services that must not pay a
-//!   thread-spawn per campaign (see `qic-serve`).
-//!
-//! Work distribution is the same in both: a shared cursor per
-//! submission — each worker repeatedly claims the next unclaimed task
-//! index and evaluates it, so stragglers never idle the pool (work
-//! stealing without queues — cheap, fair, and contention-free for
-//! simulator-sized tasks). Finished results stream back to the caller
-//! over a channel tagged with their task index, so aggregation order
-//! never depends on thread scheduling.
+//! Work distribution is a shared cursor per submission: each worker
+//! repeatedly claims the next unclaimed task index and evaluates it, so
+//! stragglers never idle the pool (work stealing without queues —
+//! cheap, fair, and contention-free for simulator-sized tasks).
+//! Finished results stream back to the submitter over a channel tagged
+//! with their task index, so aggregation order never depends on thread
+//! scheduling.
 //!
 //! # Worker-count precedence
 //!
-//! Both pools resolve a worker count of `0` through
-//! [`default_workers`]: an explicit count always wins, then the
-//! `QIC_WORKERS` environment variable (parsed by [`parse_workers`]),
-//! then the machine's available parallelism capped at 8.
+//! A worker count of `0` resolves through [`default_workers`]: an
+//! explicit count always wins, then the `QIC_WORKERS` environment
+//! variable (parsed by [`parse_workers`]), then the machine's available
+//! parallelism capped at 8.
 //!
 //! [`Campaign::run`]: crate::campaign::Campaign::run
-//! [`Campaign::run_on`]: crate::campaign::Campaign::run_on
+//! [`Campaign::execute`]: crate::campaign::Campaign::execute
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -39,93 +35,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::progress::ProgressSink;
-
-/// Flags the shared cancel latch when its worker unwinds, so the other
-/// workers stop claiming tasks instead of draining the whole campaign
-/// before the panic can propagate.
-struct CancelOnPanic<'a>(&'a AtomicBool);
-
-impl Drop for CancelOnPanic<'_> {
-    fn drop(&mut self) {
-        if thread::panicking() {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Evaluates `tasks` task indices on `workers` threads, streaming each
-/// `(index, result, wall_ns)` into `sink` as it completes, and telling
-/// `progress` of every claim and finish from the worker that ran it.
-///
-/// The task function runs once per index in `0..tasks`; which thread
-/// runs which index is scheduling-dependent, but `sink` receives every
-/// index exactly once, so an index-addressed collection is
-/// deterministic. Wall times and progress callbacks are measurement
-/// side channels, scheduling-dependent by nature, and must not feed
-/// anything that claims determinism. A panicking task cancels the pool
-/// — the other workers finish only their in-flight task, claim nothing
-/// further — and then propagates to the caller.
-pub fn run_indexed_observed<R, F, S>(
-    tasks: usize,
-    workers: usize,
-    task: F,
-    mut sink: S,
-    progress: &dyn ProgressSink,
-) where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    S: FnMut(usize, R, u64),
-{
-    let workers = workers.clamp(1, tasks.max(1));
-    let cursor = AtomicUsize::new(0);
-    let cancelled = AtomicBool::new(false);
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, R, u64)>();
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let cancelled = &cancelled;
-                let task = &task;
-                scope.spawn(move || {
-                    let guard = CancelOnPanic(cancelled);
-                    loop {
-                        if cancelled.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks {
-                            break;
-                        }
-                        progress.on_start(i, worker);
-                        let begun = Instant::now();
-                        let result = task(i);
-                        let wall_ns = u64::try_from(begun.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        progress.on_finish(i, worker, wall_ns);
-                        // A closed channel means the receiver is gone
-                        // (caller unwinding); stop claiming work.
-                        if tx.send((i, result, wall_ns)).is_err() {
-                            break;
-                        }
-                    }
-                    drop(guard);
-                })
-            })
-            .collect();
-        drop(tx);
-        // Streams until every worker has dropped its sender.
-        while let Ok((i, r, wall_ns)) = rx.recv() {
-            sink(i, r, wall_ns);
-        }
-        // Join explicitly so a worker's panic payload (not the scope's
-        // generic "a scoped thread panicked") reaches the caller.
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-}
 
 /// Worker count to use when a campaign does not pin one.
 ///
@@ -164,7 +73,7 @@ pub fn parse_workers(v: &str) -> Option<usize> {
 ///
 /// Cancelling stops further task *claims*; tasks already in flight
 /// finish normally. A cancelled run returns incomplete (see
-/// [`Executor::run_indexed_observed`]), and the token stays tripped —
+/// [`Executor::run_indexed`]), and the token stays tripped —
 /// tokens are one-shot, one per run.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
@@ -266,12 +175,19 @@ where
     }
 
     fn run(&self, index: usize, worker: usize) {
-        self.progress.on_start(index, worker);
-        let begun = Instant::now();
-        match catch_unwind(AssertUnwindSafe(|| (self.eval)(index))) {
-            Ok(result) => {
-                let wall_ns = u64::try_from(begun.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.progress.on_finish(index, worker, wall_ns);
+        // The progress callbacks run inside the unwind guard too: a
+        // panicking sink re-raises at the submitter like a panicking
+        // task, and the worker survives.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.progress.on_start(index, worker);
+            let begun = Instant::now();
+            let result = (self.eval)(index);
+            let wall_ns = u64::try_from(begun.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.progress.on_finish(index, worker, wall_ns);
+            (result, wall_ns)
+        }));
+        match outcome {
+            Ok((result, wall_ns)) => {
                 let _ = self.tx.send(Verdict::Done(index, result, wall_ns));
             }
             Err(payload) => {
@@ -314,11 +230,10 @@ struct Shared {
     space: Condvar,
 }
 
-/// A persistent, shared worker pool serving many concurrent campaign
+/// A persistent worker pool serving many concurrent campaign
 /// submissions.
 ///
-/// Where [`Campaign::run`] spins a transient scoped pool up per call,
-/// an `Executor` keeps `workers` threads alive and multiplexes every
+/// An `Executor` keeps `workers` threads alive and multiplexes every
 /// concurrent submission over them with **fair round-robin claiming**:
 /// each idle worker takes the next task from the next submission in the
 /// ring, so two concurrent campaigns make interleaved progress instead
@@ -335,16 +250,14 @@ struct Shared {
 ///
 /// # Determinism
 ///
-/// The executor only schedules; results are index-addressed exactly
-/// like the transient pool's, so anything built on it (notably
-/// [`Campaign::run_on`]) inherits the byte-identical determinism
-/// contract regardless of pool size or concurrent load.
+/// The executor only schedules; results are index-addressed, so
+/// [`Campaign::execute`] reports are byte-identical regardless of pool
+/// size or concurrent load.
 ///
 /// Dropping the executor drains in-flight submissions, then joins the
 /// workers.
 ///
-/// [`Campaign::run`]: crate::campaign::Campaign::run
-/// [`Campaign::run_on`]: crate::campaign::Campaign::run_on
+/// [`Campaign::execute`]: crate::campaign::Campaign::execute
 pub struct Executor {
     shared: Arc<Shared>,
     workers: usize,
@@ -410,18 +323,23 @@ impl Executor {
         self.workers
     }
 
-    /// Evaluates `tasks` task indices on the shared pool — the
-    /// shared-pool analogue of [`run_indexed_observed`]: `sink`
-    /// receives each `(index, result, wall_ns)` as it completes,
-    /// `progress` hears every claim/finish (with pool-worker
+    /// Evaluates `tasks` task indices on the pool: `sink` receives
+    /// each `(index, result, wall_ns)` on the submitting thread as it
+    /// completes, `progress` hears every claim/finish (with pool-worker
     /// attribution), and tripping `cancel` stops further claims.
+    ///
+    /// Which worker runs which index is scheduling-dependent, but
+    /// `sink` receives every completed index exactly once, so an
+    /// index-addressed collection is deterministic. Wall times and
+    /// progress callbacks are measurement side channels and must not
+    /// feed anything that claims determinism.
     ///
     /// Returns `true` when every task ran, `false` when the run was
     /// cancelled (some indices then never reach `sink`). The submitting
-    /// thread blocks until one or the other. A panicking task cancels
-    /// the rest of **this** submission and re-raises here; concurrent
-    /// submissions are unaffected.
-    pub fn run_indexed_observed<R, F, S>(
+    /// thread blocks until one or the other. A panicking task — or
+    /// progress callback — cancels the rest of **this** submission and
+    /// re-raises here; concurrent submissions are unaffected.
+    pub fn run_indexed<R, F, S>(
         &self,
         tasks: usize,
         task: F,
@@ -538,24 +456,24 @@ fn worker_loop(shared: &Shared, worker: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::progress::NoProgress;
 
-    /// The transient pool's results, collected in task-index order.
+    /// A pool's results, collected in task-index order.
     fn collect_indexed<R, F>(tasks: usize, workers: usize, task: F) -> Vec<R>
     where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
+        R: Send + 'static,
+        F: Fn(usize) -> R + Send + Sync + 'static,
     {
         let mut slots: Vec<Option<R>> = Vec::new();
         slots.resize_with(tasks, || None);
-        run_indexed_observed(
+        Executor::new(workers).run_indexed(
             tasks,
-            workers,
             task,
             |i, r, _wall| slots[i] = Some(r),
-            &NoProgress,
+            Arc::new(NoProgress),
+            &CancelToken::new(),
         );
         slots
             .into_iter()
@@ -589,16 +507,16 @@ mod tests {
     #[test]
     fn streams_tagged_results() {
         let mut seen = [false; 50];
-        run_indexed_observed(
+        Executor::new(4).run_indexed(
             50,
-            4,
             |i| i,
             |i, r, _wall| {
                 assert_eq!(i, r);
                 assert!(!seen[i], "index {i} delivered twice");
                 seen[i] = true;
             },
-            &NoProgress,
+            Arc::new(NoProgress),
+            &CancelToken::new(),
         );
         assert!(seen.iter().all(|&s| s));
     }
@@ -617,20 +535,21 @@ mod tests {
     #[test]
     fn observed_run_reports_progress_and_wall_times() {
         use crate::progress::JsonlProgress;
-        let sink = JsonlProgress::new(Vec::new(), 6);
+        let buf = SharedBuf::default();
+        let sink = Arc::new(JsonlProgress::new(buf.clone(), 6));
         let mut walls = [0u64; 6];
-        run_indexed_observed(
+        Executor::new(2).run_indexed(
             6,
-            2,
             |i| i * 10,
             |i, r, wall_ns| {
                 assert_eq!(r, i * 10);
                 walls[i] = wall_ns;
             },
-            &sink,
+            Arc::clone(&sink) as _,
+            &CancelToken::new(),
         );
         assert_eq!(sink.done(), 6);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = buf.text();
         assert_eq!(text.lines().count(), 12, "one start + one done per task");
         for i in 0..6 {
             assert!(
@@ -655,14 +574,13 @@ mod tests {
 
     #[test]
     fn panic_cancels_outstanding_tasks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let evaluated = AtomicUsize::new(0);
+        let evaluated = Arc::new(AtomicUsize::new(0));
         let tasks = 10_000;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_indexed_observed(
+            let evaluated = Arc::clone(&evaluated);
+            Executor::new(4).run_indexed(
                 tasks,
-                4,
-                |i| {
+                move |i| {
                     if i == 0 {
                         panic!("first task fails");
                     }
@@ -670,7 +588,8 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_micros(20));
                 },
                 |_, _, _| {},
-                &NoProgress,
+                Arc::new(NoProgress),
+                &CancelToken::new(),
             );
         }));
         assert!(result.is_err(), "the panic must propagate");
@@ -680,5 +599,27 @@ mod tests {
             evaluated.load(Ordering::Relaxed) < tasks - 1,
             "workers kept draining after the panic"
         );
+    }
+
+    /// A writer whose bytes stay readable after the sink holding it has
+    /// been handed to the pool.
+    #[derive(Clone, Default)]
+    pub(crate) struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl SharedBuf {
+        pub(crate) fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 }

@@ -263,6 +263,7 @@ impl Json {
     /// [`JsonError`] with the byte offset of the first syntax problem.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             at: 0,
         };
@@ -337,6 +338,8 @@ pub fn check_fields(
 }
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text as bytes.
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -438,10 +441,12 @@ impl Parser<'_> {
                 }
                 _ => {
                     // Re-read the full UTF-8 character starting at c.
+                    // `start` is a character boundary (every step
+                    // advances by whole characters), so slicing the
+                    // text is O(1); validating the rest of the input per
+                    // character would make parsing quadratic.
                     let start = self.at - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("non-empty");
+                    let ch = self.text[start..].chars().next().expect("non-empty");
                     if (ch as u32) < 0x20 {
                         return Err(self.err("unescaped control character in string"));
                     }
@@ -551,6 +556,7 @@ mod tests {
     fn round_trips_values() {
         let v = obj(vec![
             ("name", Json::Str("fig16:\"Tiny\"".into())),
+            ("unit", Json::Str("µs → 𝜀".into())),
             ("seed", Json::Int(u64::MAX as i128)),
             ("ratio", ints([0i64, 1, 2, 4, 8])),
             ("rate", Json::Float(1e-9)),

@@ -11,9 +11,10 @@
 //!    fixed row-major order;
 //! 2. a [`Campaign`] binding the space to replication, seeding and a
 //!    worker budget;
-//! 3. a multi-threaded executor (shared-cursor work stealing over
-//!    `std::thread`) that streams `(point, replicate)` results into a
-//!    [`CampaignReport`];
+//! 3. one multi-threaded [`Executor`] (shared-cursor work stealing over
+//!    `std::thread`) that [`Campaign::execute`] drives through a
+//!    [`Plan`] — the whole campaign, one shard, or a checkpointed
+//!    resume — streaming per-point results into a [`CampaignReport`];
 //! 4. replicate aggregation (mean / 95% CI via `qic_des::stats`) with
 //!    deterministic CSV and JSON emitters.
 //!
@@ -22,8 +23,8 @@
 //! A campaign's output must not depend on how it was scheduled. Two
 //! mechanisms guarantee that:
 //!
-//! * **Index-addressed aggregation.** Every `(point, replicate)` task
-//!   carries its row-major index; results are placed by index, so the
+//! * **Index-addressed aggregation.** Every point task carries its
+//!   row-major index; results are placed by index, so the
 //!   report — including its JSON/CSV bytes — is identical for 1 worker
 //!   or 64.
 //! * **Derived seeds.** The seed for point `i`, replicate `r` of a
@@ -70,6 +71,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use qic_des::rng::{mix64, GOLDEN_GAMMA};
+
 pub mod campaign;
 pub mod checkpoint;
 pub mod exec;
@@ -79,8 +82,8 @@ pub mod report;
 pub mod shard;
 pub mod space;
 
-pub use campaign::{Campaign, RunCtx};
-pub use checkpoint::{CampaignProgress, CheckpointConfig, CheckpointError, CHECKPOINT_VERSION};
+pub use campaign::{Campaign, CampaignProgress, Plan, Points, RunCtx};
+pub use checkpoint::{CheckpointConfig, CheckpointError, CHECKPOINT_VERSION};
 pub use exec::{default_workers, parse_workers, CancelToken, Executor};
 pub use progress::{JsonlProgress, NoProgress, ProgressSink};
 // The metric record type lives in `qic-des` (so simulator crates can
@@ -93,8 +96,8 @@ pub use space::{Axis, AxisValue, ParamSpace, SweepPoint};
 
 /// Convenient glob-import surface: `use qic_sweep::prelude::*;`.
 pub mod prelude {
-    pub use crate::campaign::{Campaign, RunCtx};
-    pub use crate::checkpoint::{CampaignProgress, CheckpointConfig, CheckpointError};
+    pub use crate::campaign::{Campaign, CampaignProgress, Plan, Points, RunCtx};
+    pub use crate::checkpoint::{CheckpointConfig, CheckpointError};
     pub use crate::derive_seed;
     pub use crate::digest_str;
     pub use crate::exec::{CancelToken, Executor};
@@ -103,16 +106,6 @@ pub mod prelude {
     pub use crate::shard::{MergeError, Shard};
     pub use crate::space::{Axis, AxisValue, ParamSpace, SweepPoint};
     pub use qic_des::metrics::Metrics;
-}
-
-/// The 64-bit golden ratio, SplitMix64's increment constant.
-pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The SplitMix64 finaliser: a bijective avalanche mix on 64 bits.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Derives the RNG seed for `(point_index, replicate)` of a campaign.
@@ -124,8 +117,8 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 /// external tooling can re-derive the seed of any point (e.g. to replay
 /// one point of a large campaign in isolation).
 pub fn derive_seed(campaign_seed: u64, point_index: u64, replicate: u64) -> u64 {
-    let a = splitmix64(campaign_seed ^ GOLDEN.wrapping_mul(point_index.wrapping_add(1)));
-    splitmix64(a ^ GOLDEN.wrapping_mul(replicate.wrapping_add(2)))
+    let a = mix64(campaign_seed ^ GOLDEN_GAMMA.wrapping_mul(point_index.wrapping_add(1)));
+    mix64(a ^ GOLDEN_GAMMA.wrapping_mul(replicate.wrapping_add(2)))
 }
 
 /// Fingerprints a canonical document: a SplitMix64 fold over its bytes,
@@ -138,9 +131,9 @@ pub fn derive_seed(campaign_seed: u64, point_index: u64, replicate: u64) -> u64 
 /// exactly when the identity changes. Not cryptographic: it guards
 /// against accidental drift, not adversaries.
 pub fn digest_str(text: &str) -> u64 {
-    let mut h = GOLDEN;
+    let mut h = GOLDEN_GAMMA;
     for byte in text.bytes() {
-        h = splitmix64(h ^ u64::from(byte));
+        h = mix64(h ^ u64::from(byte));
     }
     h
 }
@@ -169,7 +162,7 @@ mod tests {
 
     #[test]
     fn digest_str_is_stable_and_sensitive() {
-        assert_eq!(digest_str(""), GOLDEN, "empty fold is the seed");
+        assert_eq!(digest_str(""), GOLDEN_GAMMA, "empty fold is the seed");
         assert_eq!(digest_str("qic"), digest_str("qic"));
         assert_ne!(digest_str("qic"), digest_str("qiC"));
         assert_ne!(digest_str("ab"), digest_str("ba"), "order matters");

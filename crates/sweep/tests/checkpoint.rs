@@ -4,6 +4,8 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use qic_sweep::prelude::*;
 
@@ -32,13 +34,42 @@ fn eval(point: &SweepPoint<'_>, ctx: RunCtx) -> Metrics {
         .with("jitter", (ctx.seed % 4096) as f64 / 4096.0)
 }
 
+/// A resume plan with a point budget, on a per-call pool.
+fn run_budgeted(
+    campaign: &Campaign,
+    ckpt: &CheckpointConfig,
+    budget: Option<usize>,
+) -> Result<CampaignProgress, CheckpointError> {
+    let exec = Executor::new(campaign.pool_size());
+    campaign.execute(&exec, Plan::resume(ckpt.clone(), budget), eval)
+}
+
+/// A resume plan run to completion.
+fn run_resumable(
+    campaign: &Campaign,
+    ckpt: &CheckpointConfig,
+) -> Result<CampaignReport, CheckpointError> {
+    run_budgeted(campaign, ckpt, None).map(|p| p.into_report().expect("unbudgeted runs complete"))
+}
+
+/// An uninterrupted resume run from an empty manifest of its own.
+fn run_streaming(campaign: &Campaign) -> CampaignReport {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let path = tmp(&format!("uninterrupted{run}.ckpt.json"));
+    let _ = fs::remove_file(&path);
+    let report = run_resumable(campaign, &CheckpointConfig::new(&path)).unwrap();
+    fs::remove_file(&path).unwrap();
+    report
+}
+
 #[test]
 fn fresh_resumable_run_matches_streaming() {
     let path = tmp("fresh.ckpt.json");
     let _ = fs::remove_file(&path);
     let ckpt = CheckpointConfig::new(&path).every(3);
-    let resumable = campaign().run_resumable(&ckpt, eval).unwrap();
-    let streaming = campaign().run_streaming(eval);
+    let resumable = run_resumable(&campaign(), &ckpt).unwrap();
+    let streaming = run_streaming(&campaign());
     assert_eq!(resumable, streaming);
     assert_eq!(resumable.to_record_json(), streaming.to_record_json());
     assert_eq!(resumable.to_csv(), streaming.to_csv());
@@ -54,20 +85,16 @@ fn killed_campaign_resumes_to_the_byte_identical_report() {
     // "Kill" the campaign dead after 4 of 10 points: a budgeted run
     // stops exactly at a checkpoint boundary, like a SIGKILL landing
     // right after a commit.
-    let progress = campaign()
-        .run_resumable_budgeted(&ckpt, Some(4), eval)
-        .unwrap();
+    let progress = run_budgeted(&campaign(), &ckpt, Some(4)).unwrap();
     assert_eq!(progress, CampaignProgress::Partial { done: 4, total: 10 });
     assert!(path.exists(), "partial manifest committed");
 
     // A second partial pass, then resume to completion.
-    let progress = campaign()
-        .run_resumable_budgeted(&ckpt, Some(3), eval)
-        .unwrap();
+    let progress = run_budgeted(&campaign(), &ckpt, Some(3)).unwrap();
     assert_eq!(progress, CampaignProgress::Partial { done: 7, total: 10 });
-    let resumed = campaign().run_resumable(&ckpt, eval).unwrap();
+    let resumed = run_resumable(&campaign(), &ckpt).unwrap();
 
-    let fresh = campaign().run_streaming(eval);
+    let fresh = run_streaming(&campaign());
     assert_eq!(resumed, fresh);
     assert_eq!(resumed.to_record_json(), fresh.to_record_json());
     assert_eq!(resumed.to_csv(), fresh.to_csv());
@@ -78,17 +105,15 @@ fn a_stale_tmp_file_from_a_mid_write_crash_is_harmless() {
     let path = tmp("midwrite.ckpt.json");
     let _ = fs::remove_file(&path);
     let ckpt = CheckpointConfig::new(&path).every(2);
-    campaign()
-        .run_resumable_budgeted(&ckpt, Some(4), eval)
-        .unwrap();
+    run_budgeted(&campaign(), &ckpt, Some(4)).unwrap();
 
     // A crash mid-commit leaves a torn `.tmp` next to the (intact)
     // manifest; the rename never happened. Resume must ignore it.
     let tmp_path = PathBuf::from(format!("{}.tmp", path.display()));
     fs::write(&tmp_path, "{\"record\":\"campaign_ch").unwrap();
 
-    let resumed = campaign().run_resumable(&ckpt, eval).unwrap();
-    assert_eq!(resumed, campaign().run_streaming(eval));
+    let resumed = run_resumable(&campaign(), &ckpt).unwrap();
+    assert_eq!(resumed, run_streaming(&campaign()));
 }
 
 #[test]
@@ -98,12 +123,12 @@ fn corrupted_manifest_is_a_structured_error_not_a_wrong_report() {
 
     // Truncated JSON → Corrupt.
     fs::write(&path, "{\"record\":\"campaign_checkpoint\",\"vers").unwrap();
-    let err = campaign().run_resumable(&ckpt, eval).unwrap_err();
+    let err = run_resumable(&campaign(), &ckpt).unwrap_err();
     assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
 
     // Valid JSON, wrong record tag → Corrupt with a schema problem.
     fs::write(&path, "{\"record\":\"campaign_report\"}").unwrap();
-    let err = campaign().run_resumable(&ckpt, eval).unwrap_err();
+    let err = run_resumable(&campaign(), &ckpt).unwrap_err();
     assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
     assert!(err.to_string().contains("unexpected record tag"), "{err}");
 }
@@ -113,22 +138,20 @@ fn manifest_version_and_unknown_fields_are_rejected() {
     let path = tmp("versioned.ckpt.json");
     let _ = fs::remove_file(&path);
     let ckpt = CheckpointConfig::new(&path).every(4);
-    campaign()
-        .run_resumable_budgeted(&ckpt, Some(4), eval)
-        .unwrap();
+    run_budgeted(&campaign(), &ckpt, Some(4)).unwrap();
     let good = fs::read_to_string(&path).unwrap();
 
     // Version bump → structured rejection naming both versions.
     let doctored = good.replacen("\"version\": 1", "\"version\": 99", 1);
     assert_ne!(doctored, good, "version field located");
     fs::write(&path, doctored).unwrap();
-    let err = campaign().run_resumable(&ckpt, eval).unwrap_err();
+    let err = run_resumable(&campaign(), &ckpt).unwrap_err();
     assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
     assert!(err.to_string().contains("version 99"), "{err}");
 
     // A typo'd field name → rejected, not silently ignored.
     fs::write(&path, good.replacen("\"seed\"", "\"sneed\"", 1)).unwrap();
-    let err = campaign().run_resumable(&ckpt, eval).unwrap_err();
+    let err = run_resumable(&campaign(), &ckpt).unwrap_err();
     assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
 }
 
@@ -137,19 +160,17 @@ fn manifest_of_a_different_campaign_is_a_mismatch() {
     let path = tmp("drift.ckpt.json");
     let _ = fs::remove_file(&path);
     let ckpt = CheckpointConfig::new(&path).every(4);
-    campaign()
-        .run_resumable_budgeted(&ckpt, Some(4), eval)
-        .unwrap();
+    run_budgeted(&campaign(), &ckpt, Some(4)).unwrap();
 
     // Same name, different seed: the spec changed under the manifest.
-    let err = campaign().seed(78).run_resumable(&ckpt, eval).unwrap_err();
+    let err = run_resumable(&campaign().seed(78), &ckpt).unwrap_err();
     assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
 
     // Different axes (space) with everything else equal: spec hash.
     let other = Campaign::new("ckpt", ParamSpace::new().axis(Axis::ints("a", [1, 2])))
         .replicates(2)
         .seed(77);
-    let err = other.run_resumable(&ckpt, eval).unwrap_err();
+    let err = run_resumable(&other, &ckpt).unwrap_err();
     assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
 }
 
@@ -158,9 +179,7 @@ fn doctored_bitmap_is_detected() {
     let path = tmp("bitmap.ckpt.json");
     let _ = fs::remove_file(&path);
     let ckpt = CheckpointConfig::new(&path).every(4);
-    campaign()
-        .run_resumable_budgeted(&ckpt, Some(4), eval)
-        .unwrap();
+    run_budgeted(&campaign(), &ckpt, Some(4)).unwrap();
     let good = fs::read_to_string(&path).unwrap();
 
     // Flip the completion bitmap to claim everything is done while the
@@ -169,7 +188,7 @@ fn doctored_bitmap_is_detected() {
     let end = good[start..].find('"').unwrap() + start;
     let doctored = format!("{}{}{}", &good[..start], "ff03", &good[end..]);
     fs::write(&path, doctored).unwrap();
-    let err = campaign().run_resumable(&ckpt, eval).unwrap_err();
+    let err = run_resumable(&campaign(), &ckpt).unwrap_err();
     assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
     assert!(err.to_string().contains("bitmap"), "{err}");
 }
@@ -181,11 +200,9 @@ fn wall_times_never_leak_into_resumed_output() {
     let path = tmp("wall.ckpt.json");
     let _ = fs::remove_file(&path);
     let ckpt = CheckpointConfig::new(&path).every(1);
-    campaign()
-        .run_resumable_budgeted(&ckpt, Some(9), eval)
-        .unwrap();
-    let resumed = campaign().run_resumable(&ckpt, eval).unwrap();
-    let fresh = campaign().run_streaming(eval);
+    run_budgeted(&campaign(), &ckpt, Some(9)).unwrap();
+    let resumed = run_resumable(&campaign(), &ckpt).unwrap();
+    let fresh = run_streaming(&campaign());
     // Wall vectors genuinely differ...
     assert_eq!(resumed.wall_ns.len(), fresh.wall_ns.len());
     // ...but nothing observable does.
@@ -193,4 +210,52 @@ fn wall_times_never_leak_into_resumed_output() {
     assert_eq!(resumed.to_json(), fresh.to_json());
     assert_eq!(resumed.to_csv(), fresh.to_csv());
     assert_eq!(resumed.to_record_json(), fresh.to_record_json());
+}
+
+/// Cancelling a resume plan mid-run commits the points that finished;
+/// a later run picks up from the manifest and ends byte-identical to an
+/// uninterrupted run.
+#[test]
+fn cancelled_resume_commits_finished_points_and_resumes_byte_identically() {
+    let path = tmp("cancelled.ckpt.json");
+    let _ = fs::remove_file(&path);
+    let ckpt = CheckpointConfig::new(&path).every(100);
+    let token = CancelToken::new();
+    let evaluated = Arc::new(AtomicUsize::new(0));
+    let plan = Plan {
+        cancel: token.clone(),
+        ..Plan::resume(ckpt.clone(), None)
+    };
+    let counter = Arc::clone(&evaluated);
+    let progress = campaign()
+        .execute(&Executor::new(2), plan, move |point, ctx| {
+            if ctx.replicate == 0 && counter.fetch_add(1, Ordering::SeqCst) + 1 >= 3 {
+                token.cancel();
+            }
+            eval(point, ctx)
+        })
+        .unwrap();
+    let CampaignProgress::Partial { done, total } = progress else {
+        panic!("a cancelled run must stop short: {progress:?}");
+    };
+    assert_eq!(total, 10);
+    assert_eq!(
+        done,
+        evaluated.load(Ordering::SeqCst),
+        "every finished point counts"
+    );
+    assert!(
+        (3..10).contains(&done),
+        "claims continued after cancel: {done}"
+    );
+    // The manifest on disk holds exactly those points.
+    assert_eq!(
+        run_budgeted(&campaign(), &ckpt, Some(0)).unwrap(),
+        CampaignProgress::Partial { done, total }
+    );
+    let resumed = run_resumable(&campaign(), &ckpt).unwrap();
+    let fresh = run_streaming(&campaign());
+    assert_eq!(resumed, fresh);
+    assert_eq!(resumed.to_record_json(), fresh.to_record_json());
+    assert_eq!(resumed.to_csv(), fresh.to_csv());
 }

@@ -1,6 +1,6 @@
-//! The shared [`Executor`]: byte-identity with the transient pool,
-//! fairness between concurrent campaigns, bounded admission,
-//! cancellation, and panic isolation.
+//! The shared [`Executor`]: byte-identity with the per-call pool of
+//! `Campaign::run`, fairness between concurrent campaigns, bounded
+//! admission, cancellation, and panic isolation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,6 +22,18 @@ fn toy_campaign() -> Campaign {
         .workers(3)
 }
 
+/// A whole-campaign run on a shared executor.
+fn run_on<F>(campaign: &Campaign, exec: &Executor, eval: F) -> CampaignReport
+where
+    F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Send + Sync + 'static,
+{
+    campaign
+        .execute(exec, Plan::all(), eval)
+        .unwrap()
+        .into_report()
+        .expect("an uncancelled run completes")
+}
+
 fn eval(point: &SweepPoint<'_>, ctx: RunCtx) -> Metrics {
     Metrics::new()
         .with("v", (point.i64("a") * 100 + point.i64("b")) as f64)
@@ -34,7 +46,7 @@ fn run_on_matches_run_byte_for_byte() {
     let transient = toy_campaign().run(eval);
     for workers in [1, 2, 4] {
         let exec = Executor::new(workers);
-        let shared = toy_campaign().run_on(&exec, eval);
+        let shared = run_on(&toy_campaign(), &exec, eval);
         assert_eq!(shared, transient, "{workers} pool workers");
         assert_eq!(shared.to_json(), transient.to_json(), "{workers} workers");
         assert_eq!(shared.to_csv(), transient.to_csv(), "{workers} workers");
@@ -49,14 +61,14 @@ fn run_on_matches_run_byte_for_byte() {
 #[test]
 fn one_executor_serves_sequential_campaigns() {
     let exec = Executor::new(2);
-    let first = toy_campaign().run_on(&exec, eval);
-    let second = toy_campaign().run_on(&exec, eval);
+    let first = run_on(&toy_campaign(), &exec, eval);
+    let second = run_on(&toy_campaign(), &exec, eval);
     assert_eq!(first.to_json(), second.to_json());
     // A different campaign on the same pool still matches its own
     // transient run.
     let other = toy_campaign().seed(7);
     assert_eq!(
-        other.run_on(&exec, eval).to_json(),
+        run_on(&other, &exec, eval).to_json(),
         other.run(eval).to_json()
     );
 }
@@ -65,7 +77,7 @@ fn one_executor_serves_sequential_campaigns() {
 fn empty_campaign_runs_zero_points() {
     let exec = Executor::new(2);
     let space = ParamSpace::new().axis(Axis::ints("a", []));
-    let report = Campaign::new("empty", space).run_on(&exec, |_, _| unreachable!());
+    let report = run_on(&Campaign::new("empty", space), &exec, |_, _| unreachable!());
     assert!(report.points.is_empty());
 }
 
@@ -83,7 +95,7 @@ fn concurrent_campaigns_interleave_fairly() {
             let log = Arc::clone(&log);
             std::thread::spawn(move || {
                 let campaign = Campaign::new(format!("c{tag}"), toy_space()).seed(u64::from(tag));
-                campaign.run_on(&exec, move |point, _ctx| {
+                run_on(&campaign, &exec, move |point, _ctx| {
                     std::thread::sleep(Duration::from_millis(4));
                     log.lock().unwrap().push(tag);
                     Metrics::new().with("v", point.i64("a") as f64)
@@ -123,7 +135,7 @@ fn admission_bound_serialises_submissions() {
             let log = Arc::clone(&log);
             std::thread::spawn(move || {
                 let campaign = Campaign::new(format!("a{tag}"), toy_space());
-                campaign.run_on(&exec, move |point, _| {
+                run_on(&campaign, &exec, move |point, _| {
                     log.lock().unwrap().push(tag);
                     std::thread::sleep(Duration::from_millis(2));
                     Metrics::new().with("v", point.i64("a") as f64)
@@ -146,7 +158,7 @@ fn admission_bound_serialises_submissions() {
 }
 
 /// Cancelling from inside the evaluation (deterministically, after four
-/// points) stops further claims; `run_on_observed` reports the run
+/// points) stops further claims; `execute` reports the run
 /// incomplete.
 #[test]
 fn cancellation_stops_further_points() {
@@ -157,17 +169,19 @@ fn cancellation_stops_further_points() {
     let result = {
         let trip = token.clone();
         let evaluated = Arc::clone(&evaluated);
-        campaign.run_on_observed(
-            &exec,
-            move |point, _| {
+        let plan = Plan {
+            cancel: token.clone(),
+            ..Plan::all()
+        };
+        campaign
+            .execute(&exec, plan, move |point, _| {
                 if evaluated.fetch_add(1, Ordering::SeqCst) + 1 >= 4 {
                     trip.cancel();
                 }
                 Metrics::new().with("v", point.i64("a") as f64)
-            },
-            Arc::new(NoProgress),
-            &token,
-        )
+            })
+            .unwrap()
+            .into_report()
     };
     assert!(result.is_none(), "cancelled runs yield no report");
     assert!(token.is_cancelled());
@@ -180,8 +194,14 @@ fn progress_sink_hears_point_claims() {
     let exec = Executor::new(2);
     let campaign = toy_campaign();
     let sink = Arc::new(JsonlProgress::new(Vec::new(), 8));
+    let plan = Plan {
+        progress: Arc::clone(&sink) as _,
+        ..Plan::all()
+    };
     let report = campaign
-        .run_on_observed(&exec, eval, Arc::clone(&sink) as _, &CancelToken::new())
+        .execute(&exec, plan, eval)
+        .unwrap()
+        .into_report()
         .expect("completes");
     assert_eq!(report.points.len(), 8);
     assert_eq!(sink.done(), 8, "one finish per point (not per replicate)");
@@ -191,7 +211,7 @@ fn progress_sink_hears_point_claims() {
 #[should_panic(expected = "point 3 exploded")]
 fn panic_in_eval_propagates_to_the_submitter() {
     let exec = Executor::new(2);
-    let _ = Campaign::new("boom", toy_space()).run_on(&exec, |point, _| {
+    let _ = run_on(&Campaign::new("boom", toy_space()), &exec, |point, _| {
         if point.index() == 3 {
             panic!("point 3 exploded");
         }
@@ -205,11 +225,57 @@ fn panic_in_eval_propagates_to_the_submitter() {
 fn pool_survives_a_panicked_submission() {
     let exec = Executor::new(2);
     let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Campaign::new("boom", toy_space()).run_on(&exec, |_, _| -> Metrics {
-            panic!("always");
-        })
+        run_on(
+            &Campaign::new("boom", toy_space()),
+            &exec,
+            |_, _| -> Metrics {
+                panic!("always");
+            },
+        )
     }));
     assert!(boom.is_err());
-    let report = toy_campaign().run_on(&exec, eval);
+    let report = run_on(&toy_campaign(), &exec, eval);
+    assert_eq!(report.to_json(), toy_campaign().run(eval).to_json());
+}
+
+/// A progress sink that panics on every claim.
+struct PanickingSink;
+
+impl ProgressSink for PanickingSink {
+    fn on_start(&self, _task: usize, _worker: usize) {
+        panic!("sink exploded");
+    }
+}
+
+/// Runs `f` on a helper thread and waits at most five seconds for it, so
+/// a hang fails the test instead of stalling the suite.
+fn within_5s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("the run hung instead of returning")
+}
+
+/// A panicking progress sink re-raises at the submitter like a
+/// panicking task, and the pool keeps its worker: on a one-worker pool
+/// a later campaign still completes.
+#[test]
+fn panicking_progress_sink_propagates_and_the_worker_survives() {
+    let exec = Arc::new(Executor::new(1));
+    let shared = Arc::clone(&exec);
+    let payload = within_5s(move || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let plan = Plan {
+                progress: Arc::new(PanickingSink),
+                ..Plan::all()
+            };
+            toy_campaign().execute(&shared, plan, eval)
+        }))
+        .expect_err("the sink's panic must reach the submitter")
+    });
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"sink exploded"));
+    let report = within_5s(move || run_on(&toy_campaign(), &exec, eval));
     assert_eq!(report.to_json(), toy_campaign().run(eval).to_json());
 }

@@ -181,7 +181,11 @@ fn main() {
     // --shard i/K: evaluate one contiguous slice, record it for merge.
     if let Some(shard) = cli.shard {
         let dir = out_dir(&cli);
-        let report = qic::run_shard(&spec, shard).expect("spec validates");
+        let exec = Executor::new(spec.workers);
+        let report = qic::run_with(&spec, &exec, Plan::shard(shard))
+            .expect("spec validates")
+            .into_report()
+            .expect("an uncancelled shard completes");
         let path = shard_path(&dir, &spec.name, shard);
         std::fs::write(&path, report.report.to_record_json()).expect("write shard record");
         println!(
@@ -199,7 +203,9 @@ fn main() {
         let ckpt =
             CheckpointSpec::to_dir(dir.display().to_string()).with_every(cli.every.unwrap_or(16));
         let spec = spec.with_checkpoint(ckpt);
-        match qic::run_budgeted(&spec, cli.budget).expect("spec validates, manifest loads") {
+        let plan = Plan::resume(spec.checkpoint_config().expect("just set"), cli.budget);
+        let exec = Executor::new(spec.workers);
+        match qic::run_with(&spec, &exec, plan).expect("spec validates, manifest loads") {
             ScenarioProgress::Partial { done, total } => {
                 println!("checkpointed {done}/{total} points; rerun with --resume to continue");
             }

@@ -23,17 +23,27 @@
 //! | [`fault`] | `qic-fault` | deterministic fault injection: declarative `FaultPlan`s compiled into `DegradedFabric` wrappers (dead links/nodes/modules, degraded pools, hot spots) |
 //! | [`modular`] | `qic-modular` | hierarchical multi-module fabrics: K on-module fabrics joined by an optical-switch or fat-tree tier with per-tier link parameters |
 //! | [`workload`] | `qic-workload` | QFT / modular-arithmetic instruction streams |
-//! | [`core`] | `qic-core` | machine builder, layouts, logical scheduler, the Scenario API (spec/registry/[`run`]) |
-//! | [`sweep`] | `qic-sweep` | parallel campaign engine: declarative parameter sweeps, deterministic seeding, CSV/JSON reports |
+//! | [`core`] | `qic-core` | machine builder, layouts, logical scheduler, the Scenario API (spec/registry/[`run`]/[`run_with`]) |
+//! | [`sweep`] | `qic-sweep` | parallel campaign engine: declarative parameter sweeps, one shared-executor run path (whole, sharded, resumed), deterministic seeding, CSV/JSON reports |
 //! | [`probe`] | `qic-probe` | zero-cost structured tracing: per-resource time series, JSONL event logs, Chrome-trace (Perfetto) export |
 //! | [`serve`] | `qic-serve` | scenario service: shared executor, content-addressed result cache, streaming JSONL job API |
 //!
 //! # Quickstart
 //!
 //! Every experiment is a declarative [`ScenarioSpec`] — *machine ×
-//! fabric × routing × workload × purification strategy, swept* — run
-//! through the single [`run`] entry point. Named presets for the
-//! paper's figures (and beyond) live in the scenario registry:
+//! fabric × routing × workload × purification strategy, swept* — and
+//! there are two ways to run one:
+//!
+//! * [`run`] validates the spec, evaluates every point on a per-call
+//!   pool and returns the deterministic report;
+//! * [`run_with`] runs the points a [`Plan`] selects — the whole
+//!   campaign, one shard `i/K`, or a budgeted resume from the spec's
+//!   checkpoint manifest — on a caller's [`Executor`], with a progress
+//!   sink and a cancel token. The service layer ([`serve`]) shares one
+//!   executor across every job this way.
+//!
+//! Both produce byte-identical reports. Named presets for the paper's
+//! figures (and beyond) live in the scenario registry:
 //!
 //! ```
 //! use qic::prelude::*;
@@ -79,70 +89,9 @@ pub use qic_workload as workload;
 pub use qic_core::scenario::{
     CheckpointSpec, ObserveSpec, ScenarioProgress, ScenarioReport, ScenarioSpec, SpecDigest,
 };
-pub use qic_sweep::{Executor, Shard};
+pub use qic_sweep::{Executor, Plan, Shard};
 
-/// Runs a scenario: the single entry point for every experiment.
-///
-/// Validates the spec (structured errors with scenario context), builds
-/// the campaign its axes describe, evaluates every point on the worker
-/// pool, and returns the deterministic report. See
-/// [`qic_core::scenario`] for the spec format, the JSON round-trip and
-/// the preset registry.
-///
-/// # Errors
-///
-/// [`qic_core::scenario::ScenarioError`] if the spec fails validation.
-pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, qic_core::scenario::ScenarioError> {
-    qic_core::scenario::run(spec)
-}
-
-/// Runs a scenario on a shared [`Executor`] instead of a transient
-/// per-call pool — byte-identical to [`run`], but many concurrent
-/// campaigns interleave fairly on one set of workers. The service layer
-/// ([`serve`]) builds on this. See [`qic_core::scenario::run_on`].
-///
-/// # Errors
-///
-/// [`qic_core::scenario::ScenarioError`] if the spec fails validation
-/// or carries a checkpoint block.
-pub fn run_on(
-    spec: &ScenarioSpec,
-    exec: &Executor,
-) -> Result<ScenarioReport, qic_core::scenario::ScenarioError> {
-    qic_core::scenario::run_on(spec, exec)
-}
-
-/// Runs one contiguous shard `i/K` of a scenario's campaign; merging
-/// all `K` shard reports with [`qic_sweep::CampaignReport::merge`]
-/// reproduces the serial report byte for byte. See
-/// [`qic_core::scenario::run_shard`].
-///
-/// # Errors
-///
-/// [`qic_core::scenario::ScenarioError`] if the spec fails validation
-/// or carries a checkpoint block.
-pub fn run_shard(
-    spec: &ScenarioSpec,
-    shard: Shard,
-) -> Result<ScenarioReport, qic_core::scenario::ScenarioError> {
-    qic_core::scenario::run_shard(spec, shard)
-}
-
-/// Runs a checkpointed scenario with a point budget, committing the
-/// manifest and reporting progress; repeat until
-/// [`ScenarioProgress::Complete`]. See
-/// [`qic_core::scenario::run_budgeted`].
-///
-/// # Errors
-///
-/// [`qic_core::scenario::ScenarioError`] if the spec fails validation,
-/// has no checkpoint block, or the manifest is unusable.
-pub fn run_budgeted(
-    spec: &ScenarioSpec,
-    budget: Option<usize>,
-) -> Result<ScenarioProgress, qic_core::scenario::ScenarioError> {
-    qic_core::scenario::run_budgeted(spec, budget)
-}
+pub use qic_core::scenario::{run, run_with};
 
 /// One-stop imports for examples and downstream users.
 ///

@@ -32,6 +32,18 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("synthetic_stress.ckpt.json")
 }
 
+/// A budgeted resume of the spec's own checkpoint manifest (a spec
+/// without a checkpoint block gets a stand-in manifest path).
+fn run_budgeted(
+    spec: &ScenarioSpec,
+    budget: Option<usize>,
+) -> Result<ScenarioProgress, ScenarioError> {
+    let ckpt = spec
+        .checkpoint_config()
+        .unwrap_or_else(|| CheckpointConfig::new(manifest_path(&tmp_dir("no_block"))));
+    qic::run_with(spec, &Executor::new(2), Plan::resume(ckpt, budget))
+}
+
 #[test]
 fn killed_scenario_resumes_to_the_byte_identical_report() {
     let dir = tmp_dir("kill_resume");
@@ -40,7 +52,7 @@ fn killed_scenario_resumes_to_the_byte_identical_report() {
     // Kill the campaign dead after 1 of its points: a budgeted run
     // stops exactly at a commit boundary, like a SIGKILL landing right
     // after a manifest rename.
-    let progress = qic::run_budgeted(&spec, Some(1)).unwrap();
+    let progress = run_budgeted(&spec, Some(1)).unwrap();
     let ScenarioProgress::Partial { done, total } = progress else {
         panic!("a 1-point budget cannot finish the sweep");
     };
@@ -72,7 +84,7 @@ fn killed_scenario_resumes_to_the_byte_identical_report() {
 fn a_torn_tmp_from_a_mid_write_crash_does_not_poison_resume() {
     let dir = tmp_dir("torn_tmp");
     let spec = checkpointed(&dir, 1);
-    qic::run_budgeted(&spec, Some(1)).unwrap();
+    run_budgeted(&spec, Some(1)).unwrap();
 
     // A crash mid-commit leaves a torn `.tmp` beside the intact
     // manifest (the rename never happened). Resume must ignore it.
@@ -88,7 +100,7 @@ fn a_torn_tmp_from_a_mid_write_crash_does_not_poison_resume() {
 fn corrupted_manifest_is_a_structured_error_not_a_wrong_report() {
     let dir = tmp_dir("corrupt");
     let spec = checkpointed(&dir, 1);
-    qic::run_budgeted(&spec, Some(1)).unwrap();
+    run_budgeted(&spec, Some(1)).unwrap();
 
     // Truncate the manifest mid-document.
     let path = manifest_path(&dir);
@@ -108,7 +120,7 @@ fn corrupted_manifest_is_a_structured_error_not_a_wrong_report() {
 #[test]
 fn editing_the_spec_under_a_manifest_is_a_mismatch() {
     let dir = tmp_dir("spec_drift");
-    qic::run_budgeted(&checkpointed(&dir, 1), Some(1)).unwrap();
+    run_budgeted(&checkpointed(&dir, 1), Some(1)).unwrap();
 
     // Same scenario, different seed: the manifest no longer matches.
     let mut drifted = checkpointed(&dir, 1);
@@ -125,7 +137,7 @@ fn editing_the_spec_under_a_manifest_is_a_mismatch() {
 
 #[test]
 fn budgeted_runs_without_a_checkpoint_block_are_rejected() {
-    let err = qic::run_budgeted(&preset(), Some(1)).unwrap_err();
+    let err = run_budgeted(&preset(), Some(1)).unwrap_err();
     assert!(matches!(err, ScenarioError::Spec { .. }), "{err}");
 }
 
@@ -136,7 +148,7 @@ fn wall_times_are_excluded_from_equality_and_emitters() {
     // fresh ones carry real measurements — nothing observable differs.
     let dir = tmp_dir("wall_ns");
     let spec = checkpointed(&dir, 1);
-    qic::run_budgeted(&spec, Some(2)).unwrap();
+    run_budgeted(&spec, Some(2)).unwrap();
     let resumed = qic::run(&spec).unwrap();
     let fresh_dir = tmp_dir("wall_ns_fresh");
     let fresh = qic::run(&checkpointed(&fresh_dir, 1)).unwrap();

@@ -7,9 +7,10 @@ use proptest::prelude::*;
 
 use qic::prelude::*;
 use qic::sweep::prelude::{
-    Axis, Campaign, CampaignReport, Metrics, ParamSpace, RunCtx, SweepPoint,
+    Axis, Campaign, CampaignReport, CheckpointConfig, Metrics, ParamSpace, Plan, RunCtx, SweepPoint,
 };
 use qic::sweep::Shard;
+use qic::Executor;
 
 /// A synthetic evaluation with enough structure to expose index or
 /// seed cross-wiring: every metric depends on the point's values, the
@@ -22,6 +23,28 @@ fn eval(point: &SweepPoint<'_>, ctx: RunCtx) -> Metrics {
         .with("sum", sum as f64)
         .with("seeded", (ctx.seed % 100_003) as f64 / 7.0)
         .with("rep", f64::from(ctx.replicate))
+}
+
+/// Runs `plan` to completion on a pool of the campaign's size.
+fn complete(campaign: &Campaign, plan: Plan) -> CampaignReport {
+    let exec = Executor::new(campaign.pool_size());
+    campaign
+        .execute(&exec, plan, eval)
+        .unwrap()
+        .into_report()
+        .expect("the plan completes")
+}
+
+/// The streaming fold: a resume plan over an empty manifest.
+fn run_streaming(campaign: &Campaign) -> CampaignReport {
+    let path = std::env::temp_dir().join(format!(
+        "qic_sharding_stream_{}.ckpt.json",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let report = complete(campaign, Plan::resume(CheckpointConfig::new(&path), None));
+    std::fs::remove_file(&path).unwrap();
+    report
 }
 
 fn campaign(axes: &[Vec<i64>], replicates: u32, seed: u64, workers: usize) -> Campaign {
@@ -53,8 +76,10 @@ proptest! {
         let serial = campaign(&axes, replicates, seed, 1).run(eval);
         let parts: Vec<CampaignReport> = (0..shards)
             .map(|i| {
-                campaign(&axes, replicates, seed, workers)
-                    .run_shard(Shard::new(i, shards), eval)
+                complete(
+                    &campaign(&axes, replicates, seed, workers),
+                    Plan::shard(Shard::new(i, shards)),
+                )
             })
             .collect();
         let merged = CampaignReport::merge(parts).unwrap();
@@ -75,7 +100,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let buffered = campaign(&axes, replicates, seed, 1).run(eval);
-        let streamed = campaign(&axes, replicates, seed, workers).run_streaming(eval);
+        let streamed = run_streaming(&campaign(&axes, replicates, seed, workers));
         prop_assert_eq!(buffered.to_csv(), streamed.to_csv());
         for (b, s) in buffered.points.iter().zip(&streamed.points) {
             prop_assert_eq!(&b.summaries, &s.summaries);
@@ -94,8 +119,10 @@ fn every_preset_shards_and_merges_byte_identically() {
         let serial = qic::run(&spec).unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         let parts: Vec<CampaignReport> = (0..2)
             .map(|i| {
-                qic::run_shard(&spec, Shard::new(i, 2))
+                qic::run_with(&spec, &Executor::new(2), Plan::shard(Shard::new(i, 2)))
                     .unwrap_or_else(|e| panic!("{} shard {i}: {e}", entry.name))
+                    .into_report()
+                    .expect("an uncancelled shard completes")
                     .report
             })
             .collect();
@@ -125,7 +152,7 @@ fn sharding_a_checkpointed_spec_is_an_error() {
         .spec("synthetic_stress", ScenarioScale::SmallTest)
         .unwrap()
         .with_checkpoint(CheckpointSpec::to_dir("target/shard_ckpt_conflict"));
-    let err = qic::run_shard(&spec, Shard::new(0, 2)).unwrap_err();
+    let err = qic::run_with(&spec, &Executor::new(1), Plan::shard(Shard::new(0, 2))).unwrap_err();
     assert!(
         matches!(err, ScenarioError::Spec { .. }),
         "expected a spec error, got {err}"

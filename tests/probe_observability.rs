@@ -286,3 +286,42 @@ fn observing_changes_no_result_on_any_composition() {
     }
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// An observe directory that cannot be created — here a path under a
+/// regular file — is a structured error naming the path and the
+/// operation, raised before any point runs, on a per-call and a shared
+/// pool alike.
+#[test]
+fn unusable_observe_dir_is_a_structured_error() {
+    let file = std::env::temp_dir().join(format!("qic_probe_not_a_dir_{}", std::process::id()));
+    std::fs::write(&file, "a regular file").unwrap();
+    let dir = file.join("traces");
+    let spec = ScenarioRegistry::builtin()
+        .spec("fig16", ScenarioScale::SmallTest)
+        .unwrap()
+        .with_observe(ObserveSpec::to_dir(dir.display().to_string()));
+    let err = qic::run(&spec).expect_err("the observe dir cannot exist");
+    let ScenarioError::Io { path, op, .. } = &err else {
+        panic!("expected an I/O error, got {err}");
+    };
+    assert_eq!(path, &dir.display().to_string());
+    assert_eq!(*op, "create observe dir");
+    let err = qic::run_with(&spec, &Executor::new(1), Plan::all()).expect_err("shared pool");
+    assert!(matches!(err, ScenarioError::Io { .. }), "{err}");
+    let _ = std::fs::remove_file(&file);
+
+    // A directory squatting on the progress stream's name (the
+    // scenario name with path-hostile characters mapped to `_`).
+    let dir = std::env::temp_dir().join(format!("qic_probe_squat_{}", std::process::id()));
+    let stem = spec.name.replace(':', "_");
+    let stream = dir.join(format!("{stem}.progress.jsonl"));
+    std::fs::create_dir_all(&stream).unwrap();
+    let spec = spec.with_observe(ObserveSpec::to_dir(dir.display().to_string()));
+    let err = qic::run(&spec).expect_err("the stream cannot be created");
+    let ScenarioError::Io { path, op, .. } = &err else {
+        panic!("expected an I/O error, got {err}");
+    };
+    assert_eq!(path, &stream.display().to_string());
+    assert_eq!(*op, "create progress stream");
+    let _ = std::fs::remove_dir_all(&dir);
+}
