@@ -62,7 +62,7 @@ impl ScenarioReport {
 pub enum ScenarioProgress {
     /// Every point of the plan completed; the full report.
     Complete(Box<ScenarioReport>),
-    /// The run was cancelled, or a resume plan's budget ran out, first.
+    /// The run was cancelled, or the plan's budget ran out, first.
     /// For a checkpointed spec the manifest holds `done` of `total`
     /// points and a later run resumes from it.
     Partial {
@@ -132,11 +132,14 @@ pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError> {
 ///   shard's report with [`qic_sweep::CampaignReport::merge`]
 ///   reproduces the whole report byte for byte (the cross-process
 ///   fan-out behind `scenario_run --shard i/K`);
-/// * [`Points::Resume`] evaluates at most `budget` missing points and
-///   commits the manifest — call repeatedly (or from separate
-///   processes, one after another) until
-///   [`ScenarioProgress::Complete`]. Pass the spec's own
-///   [`ScenarioSpec::checkpoint_config`].
+/// * [`Points::Resume`] is rejected: a scenario's manifest is the one
+///   its checkpoint block names, so resume by running [`Plan::all`] on
+///   a checkpointed spec.
+///
+/// A budget (`Plan { budget: Some(n), ..Plan::all() }`) on a
+/// checkpointed spec evaluates at most `n` missing points and commits
+/// the manifest — call repeatedly (or from separate processes, one
+/// after another) until [`ScenarioProgress::Complete`].
 ///
 /// Tripping the plan's cancel token stops further point claims; the
 /// call then returns [`ScenarioProgress::Partial`] (a checkpointed run
@@ -148,9 +151,10 @@ pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError> {
 /// [`ScenarioError`] if the spec fails validation; if a shard plan
 /// meets a checkpoint block (a shard neither reads nor writes the
 /// manifest, so combining the two would silently disable resume); if a
-/// resume plan meets a spec without one (there is nowhere to record
-/// progress); if the observe directory cannot be created; or if the
-/// manifest cannot be read, written, or does not belong to this spec.
+/// budget meets a spec without one (there is nowhere to record
+/// progress); if the plan is a [`Points::Resume`]; if the observe
+/// directory cannot be created; or if the manifest cannot be read,
+/// written, or does not belong to this spec.
 pub fn run_with(
     spec: &ScenarioSpec,
     exec: &Executor,
@@ -171,6 +175,17 @@ fn execute(
         scenario: spec.name.clone(),
         problem: problem.into(),
     };
+    if let Points::Resume(_) = plan.points {
+        return Err(spec_err(
+            "a scenario resumes from its own checkpoint block's manifest; \
+             run the whole-campaign plan on a checkpointed spec instead",
+        ));
+    }
+    if plan.budget.is_some() && spec.checkpoint.is_none() {
+        return Err(spec_err(
+            "budgeted runs need a checkpoint block to record progress in",
+        ));
+    }
     let points = match (plan.points, &spec.checkpoint) {
         (Points::Shard(_), Some(_)) => {
             return Err(spec_err(
@@ -178,23 +193,18 @@ fn execute(
                  (shards are restarted whole) or run unsharded",
             ))
         }
-        (Points::Resume { .. }, None) => {
-            return Err(spec_err(
-                "budgeted runs need a checkpoint block to record progress in",
-            ))
-        }
-        (Points::All, Some(ckpt)) => {
-            create_checkpoint_dir(&ckpt.dir)?;
-            Points::Resume {
-                checkpoint: spec
-                    .checkpoint_config()
-                    .expect("the spec has a checkpoint block"),
-                budget: None,
-            }
-        }
-        (resume @ Points::Resume { .. }, Some(ckpt)) => {
-            create_checkpoint_dir(&ckpt.dir)?;
-            resume
+        (_, Some(ckpt)) => {
+            // `{dir}/{name}.ckpt.json`, committed every `every` points.
+            std::fs::create_dir_all(&ckpt.dir).map_err(|e| {
+                ScenarioError::Checkpoint(CheckpointError::Io {
+                    path: ckpt.dir.clone(),
+                    op: "create dir",
+                    message: e.to_string(),
+                })
+            })?;
+            let path =
+                Path::new(&ckpt.dir).join(format!("{}.ckpt.json", sanitize_stem(&spec.name)));
+            Points::Resume(CheckpointConfig::new(path).every(ckpt.every as usize))
         }
         (points, None) => points,
     };
@@ -220,18 +230,6 @@ fn campaign(spec: &ScenarioSpec) -> Campaign {
         .seed(spec.seed)
         .replicates(spec.replicates)
         .workers(spec.workers)
-}
-
-impl ScenarioSpec {
-    /// Where the spec's checkpoint block puts the manifest —
-    /// `{dir}/{name}.ckpt.json`, committed every `every` points — as the
-    /// config a budgeted [`Plan::resume`] takes; `None` without a
-    /// checkpoint block.
-    pub fn checkpoint_config(&self) -> Option<CheckpointConfig> {
-        let ckpt = self.checkpoint.as_ref()?;
-        let path = Path::new(&ckpt.dir).join(format!("{}.ckpt.json", sanitize_stem(&self.name)));
-        Some(CheckpointConfig::new(path).every(ckpt.every as usize))
-    }
 }
 
 /// Maps path-hostile characters of a scenario name to `_`, the shared
@@ -263,17 +261,6 @@ fn observe_dir(obs: &ObserveSpec) -> Result<PathBuf, ScenarioError> {
     let dir = PathBuf::from(&obs.dir);
     std::fs::create_dir_all(&dir).map_err(|e| io_error(&dir, "create observe dir", &e))?;
     Ok(dir)
-}
-
-/// Creates the checkpoint manifest's directory.
-fn create_checkpoint_dir(dir: &str) -> Result<(), ScenarioError> {
-    std::fs::create_dir_all(dir).map_err(|e| {
-        ScenarioError::Checkpoint(CheckpointError::Io {
-            path: dir.to_string(),
-            op: "create dir",
-            message: e.to_string(),
-        })
-    })
 }
 
 /// Writes one evaluation's trace exports under the observe directory.

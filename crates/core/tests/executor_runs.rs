@@ -102,7 +102,10 @@ fn run_with_resumes_checkpointed_specs_on_a_shared_executor() {
             .with_checkpoint(CheckpointSpec::to_dir(base.join(dir).display().to_string()))
     };
     let spec = checkpointed("resumed");
-    let plan = Plan::resume(spec.checkpoint_config().unwrap(), Some(3));
+    let plan = Plan {
+        budget: Some(3),
+        ..Plan::all()
+    };
     let partial = scenario::run_with(&spec, &exec, plan).unwrap();
     assert!(
         matches!(partial, ScenarioProgress::Partial { done: 3, .. }),

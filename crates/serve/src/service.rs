@@ -287,8 +287,8 @@ impl ServeHandle {
         } else if spec.checkpoint.is_some() {
             Some(
                 "checkpoint blocks are not served: the cache already makes reruns cheap; \
-                  run such specs locally via qic::run, or qic::run_with and a resume plan \
-                  for budgeted execution"
+                  run such specs locally via qic::run, or step through them with \
+                  qic::run_with and a point budget"
                     .into(),
             )
         } else {

@@ -37,9 +37,10 @@ pub enum Points {
     /// byte for byte: run shard `i/K` on machine `i`, ship the records
     /// home, merge.
     Shard(Shard),
-    /// Resume from a checkpoint manifest: load the points a previous
-    /// run committed, evaluate at most `budget` of the missing ones
-    /// (`None` = all of them), and commit the manifest as points land.
+    /// Resume from a checkpoint manifest (where it lives and how often
+    /// it is committed): load the points a previous run committed,
+    /// evaluate the missing ones, and commit the manifest as points
+    /// land.
     ///
     /// Resumed points fold their replicates into streaming tallies
     /// (a point's replicates never co-reside in memory), so
@@ -48,19 +49,16 @@ pub enum Points {
     /// JSON are bit-for-bit those of a buffered run. Kill and resume as
     /// often as you like: the final report is byte-identical to an
     /// uninterrupted resume run's.
-    Resume {
-        /// Where the manifest lives and how often it is committed.
-        checkpoint: CheckpointConfig,
-        /// The most not-yet-completed points to evaluate this call.
-        budget: Option<usize>,
-    },
+    Resume(CheckpointConfig),
 }
 
 /// How one [`Campaign::execute`] call runs: the points it evaluates, a
-/// progress observer, and a cancellation latch.
+/// cap on how many it evaluates, a progress observer, and a
+/// cancellation latch.
 ///
 /// Build one with [`Plan::all`], [`Plan::shard`] or [`Plan::resume`]
-/// and override the observer or latch with struct-update syntax:
+/// and override the budget, observer or latch with struct-update
+/// syntax:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -77,6 +75,11 @@ pub enum Points {
 pub struct Plan {
     /// The point set.
     pub points: Points,
+    /// The most not-yet-completed points to evaluate this call (`None`
+    /// = all of them); a run it stops short returns
+    /// [`CampaignProgress::Partial`]. Meant for resume plans, whose
+    /// manifest keeps the evaluated points for the next call.
+    pub budget: Option<usize>,
     /// Hears every point claim and finish, from the worker that ran it.
     /// Task indices are positions in the plan's point set (the point
     /// indices themselves for [`Points::All`]).
@@ -97,15 +100,16 @@ impl Plan {
         Plan::of(Points::Shard(shard))
     }
 
-    /// Resume from `checkpoint`, evaluating at most `budget` missing
-    /// points; unobserved and never cancelled.
-    pub fn resume(checkpoint: CheckpointConfig, budget: Option<usize>) -> Plan {
-        Plan::of(Points::Resume { checkpoint, budget })
+    /// Resume from `checkpoint`, unbudgeted, unobserved and never
+    /// cancelled.
+    pub fn resume(checkpoint: CheckpointConfig) -> Plan {
+        Plan::of(Points::Resume(checkpoint))
     }
 
     fn of(points: Points) -> Plan {
         Plan {
             points,
+            budget: None,
             progress: Arc::new(NoProgress),
             cancel: CancelToken::new(),
         }
@@ -118,7 +122,7 @@ impl Plan {
 pub enum CampaignProgress {
     /// Every point of the plan completed; this is its report.
     Complete(Box<CampaignReport>),
-    /// The run was cancelled, or a resume plan's budget ran out, first.
+    /// The run was cancelled, or the plan's budget ran out, first.
     /// A resume plan's manifest holds the finished points and a later
     /// run picks up from there.
     Partial {
@@ -293,21 +297,23 @@ impl Campaign {
         let mut wall_ns: Vec<u64> = vec![0; n_points];
         let mut manifest = None;
         // The points the report covers, and those still to evaluate.
-        let (reported, todo): (Range<usize>, Vec<usize>) = match &plan.points {
+        let (reported, mut todo): (Range<usize>, Vec<usize>) = match &plan.points {
             Points::All => (0..n_points, (0..n_points).collect()),
             Points::Shard(shard) => {
                 let range = shard.point_range(n_points);
                 (range.clone(), range.collect())
             }
-            Points::Resume { checkpoint, budget } => {
+            Points::Resume(checkpoint) => {
                 let m = Manifest::new(self, checkpoint);
                 slots = m.load(n_points)?;
-                let missing = (0..n_points).filter(|&i| slots[i].is_none());
-                let todo = missing.take(budget.unwrap_or(usize::MAX)).collect();
                 manifest = Some(m);
-                (0..n_points, todo)
+                (
+                    0..n_points,
+                    (0..n_points).filter(|&i| slots[i].is_none()).collect(),
+                )
             }
         };
+        todo.truncate(plan.budget.unwrap_or(usize::MAX));
 
         if !todo.is_empty() {
             let tasks = todo.len();
@@ -317,7 +323,10 @@ impl Campaign {
             // The sink runs on this thread, so committing from it is
             // ordinary sequential file I/O; a commit error stops
             // further claims and fails the run once in-flight points
-            // drain.
+            // drain. It stops them through a child of the caller's
+            // token, so a token the caller shares between runs is left
+            // untripped.
+            let stop = plan.cancel.child();
             let mut commit_error: Option<CheckpointError> = None;
             let mut fresh = 0usize;
             exec.run_indexed(
@@ -335,13 +344,13 @@ impl Campaign {
                         if fresh % m.every() == 0 {
                             if let Err(e) = m.commit(&slots) {
                                 commit_error = Some(e);
-                                plan.cancel.cancel();
+                                stop.cancel();
                             }
                         }
                     }
                 },
                 plan.progress,
-                &plan.cancel,
+                &stop,
             );
             if let Some(e) = commit_error {
                 return Err(e);
@@ -558,6 +567,18 @@ mod tests {
     }
 
     #[test]
+    fn a_budget_caps_the_points_evaluated() {
+        let plan = Plan {
+            budget: Some(4),
+            ..Plan::all()
+        };
+        let progress = toy_campaign()
+            .execute(&Executor::new(2), plan, eval)
+            .unwrap();
+        assert_eq!(progress, CampaignProgress::Partial { done: 4, total: 6 });
+    }
+
+    #[test]
     #[should_panic(expected = "at least one replicate")]
     fn zero_replicates_rejected() {
         let _ = Campaign::new("t", toy_space()).replicates(0);
@@ -634,7 +655,7 @@ mod tests {
         let report = complete(
             campaign,
             workers,
-            Plan::resume(CheckpointConfig::new(&path), None),
+            Plan::resume(CheckpointConfig::new(&path)),
         );
         let _ = std::fs::remove_file(&path);
         report
@@ -675,7 +696,7 @@ mod tests {
         toy_campaign()
             .execute(
                 &Executor::new(3),
-                Plan::resume(CheckpointConfig::new(&path), None),
+                Plan::resume(CheckpointConfig::new(&path)),
                 move |point, ctx| {
                     if ctx.replicate == 0 {
                         counter.lock().unwrap()[point.index()] += 1;

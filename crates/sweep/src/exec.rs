@@ -76,7 +76,11 @@ pub fn parse_workers(v: &str) -> Option<usize> {
 /// [`Executor::run_indexed`]), and the token stays tripped —
 /// tokens are one-shot, one per run.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken {
+    flag: Arc<AtomicBool>,
+    /// A [`CancelToken::child`]'s parent: tripping it trips the child.
+    parent: Option<Box<CancelToken>>,
+}
 
 impl CancelToken {
     /// A fresh, untripped token.
@@ -87,12 +91,24 @@ impl CancelToken {
     /// Trips the latch: no further tasks of the associated run are
     /// claimed.
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.flag.store(true, Ordering::SeqCst);
     }
 
-    /// Whether [`CancelToken::cancel`] has been called.
+    /// Whether [`CancelToken::cancel`] has been called (on this token or
+    /// on a parent).
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst) || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
+    }
+
+    /// A token tripped when `self` is, whose own cancellation leaves
+    /// `self` alone: what a run hands its submission, so a task panic
+    /// or a failed commit stops that run without tripping a token the
+    /// caller shares with others.
+    pub(crate) fn child(&self) -> CancelToken {
+        CancelToken {
+            flag: Arc::default(),
+            parent: Some(Box::new(self.clone())),
+        }
     }
 }
 
@@ -363,7 +379,7 @@ impl Executor {
             finished: AtomicUsize::new(0),
             detached: AtomicBool::new(false),
             closed: AtomicBool::new(false),
-            cancel: cancel.clone(),
+            cancel: cancel.child(),
             progress,
             eval: task,
             tx,

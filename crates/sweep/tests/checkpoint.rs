@@ -41,7 +41,11 @@ fn run_budgeted(
     budget: Option<usize>,
 ) -> Result<CampaignProgress, CheckpointError> {
     let exec = Executor::new(campaign.pool_size());
-    campaign.execute(&exec, Plan::resume(ckpt.clone(), budget), eval)
+    let plan = Plan {
+        budget,
+        ..Plan::resume(ckpt.clone())
+    };
+    campaign.execute(&exec, plan, eval)
 }
 
 /// A resume plan run to completion.
@@ -215,6 +219,24 @@ fn wall_times_never_leak_into_resumed_output() {
 /// Cancelling a resume plan mid-run commits the points that finished;
 /// a later run picks up from the manifest and ends byte-identical to an
 /// uninterrupted run.
+/// A failed manifest commit stops the run with the error, and stops it
+/// without tripping the caller's token, which may be shared with other
+/// runs.
+#[test]
+fn a_failed_commit_leaves_the_callers_token_untripped() {
+    let path = tmp("no_such_dir").join("unwritable.ckpt.json");
+    let token = CancelToken::new();
+    let plan = Plan {
+        cancel: token.clone(),
+        ..Plan::resume(CheckpointConfig::new(&path).every(1))
+    };
+    let err = campaign()
+        .execute(&Executor::new(2), plan, eval)
+        .unwrap_err();
+    assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
+    assert!(!token.is_cancelled(), "the caller's token was tripped");
+}
+
 #[test]
 fn cancelled_resume_commits_finished_points_and_resumes_byte_identically() {
     let path = tmp("cancelled.ckpt.json");
@@ -224,7 +246,7 @@ fn cancelled_resume_commits_finished_points_and_resumes_byte_identically() {
     let evaluated = Arc::new(AtomicUsize::new(0));
     let plan = Plan {
         cancel: token.clone(),
-        ..Plan::resume(ckpt.clone(), None)
+        ..Plan::resume(ckpt.clone())
     };
     let counter = Arc::clone(&evaluated);
     let progress = campaign()

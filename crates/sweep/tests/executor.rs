@@ -238,6 +238,31 @@ fn pool_survives_a_panicked_submission() {
     assert_eq!(report.to_json(), toy_campaign().run(eval).to_json());
 }
 
+/// A panic stops its own run without tripping the caller's token, so a
+/// token shared between runs keeps the others going.
+#[test]
+fn a_panic_leaves_a_shared_token_untripped() {
+    let exec = Executor::new(2);
+    let shared = CancelToken::new();
+    let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let plan = Plan {
+            cancel: shared.clone(),
+            ..Plan::all()
+        };
+        Campaign::new("boom", toy_space()).execute(&exec, plan, |_, _| -> Metrics {
+            panic!("always");
+        })
+    }));
+    assert!(boom.is_err());
+    assert!(!shared.is_cancelled(), "the panic tripped the shared token");
+    let plan = Plan {
+        cancel: shared,
+        ..Plan::all()
+    };
+    let report = toy_campaign().execute(&exec, plan, eval).unwrap();
+    assert_eq!(report.into_report(), Some(toy_campaign().run(eval)));
+}
+
 /// A progress sink that panics on every claim.
 struct PanickingSink;
 

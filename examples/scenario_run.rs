@@ -203,7 +203,10 @@ fn main() {
         let ckpt =
             CheckpointSpec::to_dir(dir.display().to_string()).with_every(cli.every.unwrap_or(16));
         let spec = spec.with_checkpoint(ckpt);
-        let plan = Plan::resume(spec.checkpoint_config().expect("just set"), cli.budget);
+        let plan = Plan {
+            budget: cli.budget,
+            ..Plan::all()
+        };
         let exec = Executor::new(spec.workers);
         match qic::run_with(&spec, &exec, plan).expect("spec validates, manifest loads") {
             ScenarioProgress::Partial { done, total } => {

@@ -32,16 +32,16 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("synthetic_stress.ckpt.json")
 }
 
-/// A budgeted resume of the spec's own checkpoint manifest (a spec
-/// without a checkpoint block gets a stand-in manifest path).
+/// A budgeted run: resumes the spec's own checkpoint manifest.
 fn run_budgeted(
     spec: &ScenarioSpec,
     budget: Option<usize>,
 ) -> Result<ScenarioProgress, ScenarioError> {
-    let ckpt = spec
-        .checkpoint_config()
-        .unwrap_or_else(|| CheckpointConfig::new(manifest_path(&tmp_dir("no_block"))));
-    qic::run_with(spec, &Executor::new(2), Plan::resume(ckpt, budget))
+    let plan = Plan {
+        budget,
+        ..Plan::all()
+    };
+    qic::run_with(spec, &Executor::new(2), plan)
 }
 
 #[test]
@@ -139,6 +139,24 @@ fn editing_the_spec_under_a_manifest_is_a_mismatch() {
 fn budgeted_runs_without_a_checkpoint_block_are_rejected() {
     let err = run_budgeted(&preset(), Some(1)).unwrap_err();
     assert!(matches!(err, ScenarioError::Spec { .. }), "{err}");
+}
+
+/// A scenario's manifest is the one its checkpoint block names: a
+/// resume plan pointing anywhere else is refused before anything runs,
+/// so a later `qic::run` can never miss points committed elsewhere.
+#[test]
+fn a_resume_plan_with_its_own_manifest_is_rejected() {
+    let dir = tmp_dir("foreign_manifest");
+    let elsewhere = dir.join("missing_parent").join("other.ckpt.json");
+    let spec = checkpointed(&dir, 1);
+    let plan = Plan {
+        budget: Some(1),
+        ..Plan::resume(CheckpointConfig::new(&elsewhere).every(4))
+    };
+    let err = qic::run_with(&spec, &Executor::new(2), plan).unwrap_err();
+    assert!(matches!(err, ScenarioError::Spec { .. }), "{err}");
+    assert!(!manifest_path(&dir).exists(), "nothing ran");
+    assert!(!elsewhere.exists(), "nothing ran");
 }
 
 #[test]

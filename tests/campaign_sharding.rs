@@ -42,7 +42,7 @@ fn run_streaming(campaign: &Campaign) -> CampaignReport {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    let report = complete(campaign, Plan::resume(CheckpointConfig::new(&path), None));
+    let report = complete(campaign, Plan::resume(CheckpointConfig::new(&path)));
     std::fs::remove_file(&path).unwrap();
     report
 }
