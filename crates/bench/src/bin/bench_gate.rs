@@ -9,7 +9,8 @@
 //!
 //! Gate mode prints a markdown before/after table (pipe it into
 //! `$GITHUB_STEP_SUMMARY` in CI) and exits non-zero if any bench
-//! regressed beyond the tolerance. Two defenses keep machine noise
+//! regressed beyond the tolerance, or if a bench in the baseline is no
+//! longer measured (`MISSING`). Two defenses keep machine noise
 //! from failing the build while real regressions still do: a fixed-work
 //! calibration bench normalizes for uniform machine slowdown (CPU
 //! throttling, busy shared runners), and apparent regressions are
@@ -27,12 +28,13 @@ use qic_fault::FaultPlan;
 use qic_modular::{ModularFabric, ModularSpec};
 use qic_net::config::NetConfig;
 use qic_net::routing::{DimensionOrder, MinimalAdaptive, Router};
-use qic_net::sim::{NetworkSim, OneShotDriver};
-use qic_net::topology::{Coord, Hypercube, Mesh, Topology, TopologyKind};
+use qic_net::sim::{BatchDriver, NetworkSim, OneShotDriver};
+use qic_net::topology::{Coord, Hypercube, Mesh, Topology, TopologyKind, Torus};
+use qic_physics::bell::BellDiagonal;
 use qic_physics::time::Duration;
+use qic_purify::protocol::{Protocol, RoundNoise};
 
-/// Runs every hot-path bench (same definitions as the `ops_micro` and
-/// `fault_overhead` criterion targets) and returns the medians.
+/// Runs every hot-path bench and returns the medians, in a fixed order.
 fn run_benches(quick: bool) -> Vec<Measured> {
     let mut out = Vec::new();
     let mut push = |name: &'static str, (median_ns, samples): (f64, u32)| {
@@ -94,9 +96,39 @@ fn run_benches(quick: bool) -> Vec<Measured> {
             NetworkSim::with_topology(cfg.clone(), detour.clone()).run(&mut driver)
         }),
     );
+    // Bernoulli damage under crossing traffic.
+    let damaged = FaultPlan::healthy()
+        .with_seed(42)
+        .with_link_kill(0.15)
+        .compile(cfg.fabric());
+    push(
+        "fault_overhead_degraded_batch",
+        measure(quick, || {
+            let mut driver = BatchDriver::new(vec![
+                (Coord::new(0, 0), Coord::new(3, 3)),
+                (Coord::new(3, 0), Coord::new(0, 3)),
+            ]);
+            NetworkSim::with_topology(cfg.clone(), damaged.clone()).run(&mut driver)
+        }),
+    );
+    // Plan compilation (schedule resolution + all-pairs BFS) at the
+    // paper's 16×16 scale — the per-sweep-point setup cost.
+    push(
+        "fault_compile_16x16_mesh",
+        measure(quick, || {
+            black_box(
+                FaultPlan::healthy()
+                    .with_seed(7)
+                    .with_link_kill(0.1)
+                    .compile(Mesh::new(16, 16)),
+            )
+            .surviving_links()
+        }),
+    );
 
     // Routing micro-benches.
     let mesh = Mesh::new(16, 16);
+    let torus = Torus::new(16, 16);
     let cube = Hypercube::new(8);
     let no_load = |_: usize| 0u32;
     let load = |l: usize| (l % 5) as u32;
@@ -105,6 +137,12 @@ fn run_benches(quick: bool) -> Vec<Measured> {
         "dor_route_mesh_16x16",
         measure(quick, || {
             DimensionOrder.route(&mesh, black_box(src), black_box(dst), &no_load)
+        }),
+    );
+    push(
+        "dor_route_torus_16x16",
+        measure(quick, || {
+            DimensionOrder.route(&torus, black_box(src), black_box(dst), &no_load)
         }),
     );
     push(
@@ -148,6 +186,21 @@ fn run_benches(quick: bool) -> Vec<Measured> {
             }
             acc
         }),
+    );
+
+    // Purification kernels: one noisy DEJMPS round and one Bell-diagonal
+    // convolution.
+    let state = BellDiagonal::werner_f64(0.99).unwrap();
+    let noise = RoundNoise::ion_trap();
+    push(
+        "dejmps_noisy_step",
+        measure(quick, || {
+            Protocol::Dejmps.noisy_step(black_box(&state), black_box(&noise))
+        }),
+    );
+    push(
+        "bell_convolve",
+        measure(quick, || black_box(&state).convolve(black_box(&state))),
     );
 
     out
@@ -213,7 +266,7 @@ fn main() {
         }
     };
     let mut measured = measured;
-    let (mut table, mut regressions) = gate(&measured, &baseline);
+    let (mut table, mut failures) = gate(&measured, &baseline);
     // Shared-runner noise routinely exceeds the tolerance for
     // nanosecond-scale benches, and the noisy phases last tens of
     // seconds to minutes — far longer than a back-to-back re-run. A
@@ -222,12 +275,12 @@ fn main() {
     // 20 s apart so the retries outlive a burst, before declaring
     // failure.
     for pass in 0..6 {
-        if regressions.is_empty() {
+        if failures.is_empty() {
             break;
         }
         eprintln!(
-            "bench-gate: {} regression(s) on pass {}; re-measuring in 20 s",
-            regressions.len(),
+            "bench-gate: {} failure(s) on pass {}; re-measuring in 20 s",
+            failures.len(),
             pass + 1
         );
         std::thread::sleep(std::time::Duration::from_secs(20));
@@ -237,14 +290,14 @@ fn main() {
                 slot.median_ns = fresh.median_ns;
             }
         }
-        (table, regressions) = gate(&measured, &baseline);
+        (table, failures) = gate(&measured, &baseline);
     }
     println!("\n{table}");
-    if regressions.is_empty() {
+    if failures.is_empty() {
         println!("bench-gate: OK (tolerance 15%)");
     } else {
-        eprintln!("bench-gate: FAILED — {} regression(s):", regressions.len());
-        for r in &regressions {
+        eprintln!("bench-gate: FAILED — {} failure(s):", failures.len());
+        for r in &failures {
             eprintln!("  {r}");
         }
         std::process::exit(1);

@@ -24,14 +24,16 @@
 //! median regressed more than [`TOLERANCE_PCT`] percent against the
 //! baseline.
 //!
-//! The measurement loop mirrors the vendored `criterion` stand-in
-//! (warm-up pass sizes a batch, then a fixed number of timed batches;
-//! the median batch is reported) so numbers recorded here and numbers
-//! printed by `cargo bench` agree.
+//! [`measure`] is the workspace's one timing loop: a warm-up pass
+//! sizes a batch, then a fixed number of timed batches run and the
+//! median batch is reported. The file is read and written through
+//! `qic_sweep::json`, the workspace's one JSON codec.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration as WallDuration, Instant};
+
+use qic_sweep::json::{get, write_str, Json, JsonError};
 
 /// Regression tolerance, in percent, applied by [`gate`].
 pub const TOLERANCE_PCT: f64 = 15.0;
@@ -115,17 +117,19 @@ impl Trajectory {
         out.push_str("  \"benches\": {\n");
         let n = self.benches.len();
         for (i, (name, history)) in self.benches.iter().enumerate() {
-            let _ = writeln!(out, "    {}: [", json_string(name));
+            out.push_str("    ");
+            write_str(&mut out, name);
+            out.push_str(": [\n");
             for (j, e) in history.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "      {{ \"median_ns\": {}, \"samples\": {}, \"date\": {}, \"git_rev\": {}, \"note\": {} }}",
-                    fmt_f64(e.median_ns),
-                    e.samples,
-                    json_string(&e.date),
-                    json_string(&e.git_rev),
-                    json_string(&e.note),
-                );
+                out.push_str("      { \"median_ns\": ");
+                out.push_str(&Json::Float(e.median_ns).emit());
+                let _ = write!(out, ", \"samples\": {}, \"date\": ", e.samples);
+                write_str(&mut out, &e.date);
+                out.push_str(", \"git_rev\": ");
+                write_str(&mut out, &e.git_rev);
+                out.push_str(", \"note\": ");
+                write_str(&mut out, &e.note);
+                out.push_str(" }");
                 out.push_str(if j + 1 < history.len() { ",\n" } else { "\n" });
             }
             out.push_str(if i + 1 < n { "    ],\n" } else { "    ]\n" });
@@ -141,280 +145,39 @@ impl Trajectory {
     /// Returns a message if the text is not valid JSON or does not carry
     /// the expected [`SCHEMA`] marker and field types.
     pub fn parse(text: &str) -> Result<Trajectory, String> {
-        let value = Json::parse(text)?;
-        let top = value.as_object().ok_or("top level is not an object")?;
-        match top.get("schema").and_then(Json::as_str) {
-            Some(s) if s == SCHEMA => {}
-            other => return Err(format!("unexpected schema marker {other:?}")),
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        Trajectory::from_json(&doc).map_err(|e| e.problem)
+    }
+
+    fn from_json(doc: &Json) -> Result<Trajectory, JsonError> {
+        let top = doc.obj_of("top level")?;
+        let schema = get(top, "schema", "top level")?.str_of("schema")?;
+        if schema != SCHEMA {
+            return Err(Json::schema_err(format!(
+                "unexpected schema marker {schema:?}"
+            )));
         }
         let mut benches = BTreeMap::new();
-        let raw = top
-            .get("benches")
-            .and_then(Json::as_object)
-            .ok_or("missing \"benches\" object")?;
-        for (name, history) in raw {
-            let list = history
-                .as_array()
-                .ok_or_else(|| format!("bench {name:?}: history is not an array"))?;
-            let mut entries = Vec::with_capacity(list.len());
-            for item in list {
-                let obj = item
-                    .as_object()
-                    .ok_or_else(|| format!("bench {name:?}: entry is not an object"))?;
-                let num = |key: &str| -> Result<f64, String> {
-                    obj.get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("bench {name:?}: missing number {key:?}"))
-                };
-                let text = |key: &str| -> Result<String, String> {
-                    obj.get(key)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("bench {name:?}: missing string {key:?}"))
-                };
-                entries.push(BenchEntry {
-                    median_ns: num("median_ns")?,
-                    samples: num("samples")? as u32,
-                    date: text("date")?,
-                    git_rev: text("git_rev")?,
-                    note: text("note")?,
-                });
-            }
+        for (name, history) in get(top, "benches", "top level")?.obj_of("benches")? {
+            let ctx = format!("bench {name:?}");
+            let entries = history
+                .arr_of(&ctx)?
+                .iter()
+                .map(|item| {
+                    let obj = item.obj_of(&ctx)?;
+                    let text = |key: &str| get(obj, key, &ctx)?.str_of(&ctx).map(str::to_string);
+                    Ok(BenchEntry {
+                        median_ns: get(obj, "median_ns", &ctx)?.f64_of(&ctx)?,
+                        samples: get(obj, "samples", &ctx)?.u32_of(&ctx)?,
+                        date: text("date")?,
+                        git_rev: text("git_rev")?,
+                        note: text("note")?,
+                    })
+                })
+                .collect::<Result<_, _>>()?;
             benches.insert(name.clone(), entries);
         }
         Ok(Trajectory { benches })
-    }
-}
-
-/// Formats an f64 so it round-trips (integral values keep a `.0`).
-fn fmt_f64(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal JSON value — just enough to read the baseline file (the
-/// vendored `serde` stub has no wire format, so the harness carries its
-/// own ~100-line reader).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = Json::parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut map = BTreeMap::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = match Json::parse_value(b, pos)? {
-                        Json::Str(s) => s,
-                        _ => return Err(format!("object key at byte {pos} is not a string")),
-                    };
-                    skip_ws(b, pos);
-                    if b.get(*pos) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {pos}"));
-                    }
-                    *pos += 1;
-                    map.insert(key, Json::parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Json::Obj(map));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut arr = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Json::Arr(arr));
-                }
-                loop {
-                    arr.push(Json::parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Json::Arr(arr));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                *pos += 1;
-                let mut s = String::new();
-                loop {
-                    match b.get(*pos) {
-                        Some(b'"') => {
-                            *pos += 1;
-                            return Ok(Json::Str(s));
-                        }
-                        Some(b'\\') => {
-                            *pos += 1;
-                            match b.get(*pos) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'/') => s.push('/'),
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                Some(b'r') => s.push('\r'),
-                                Some(b'u') => {
-                                    let hex = b
-                                        .get(*pos + 1..*pos + 5)
-                                        .and_then(|h| std::str::from_utf8(h).ok())
-                                        .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                        .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                                    s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                                    *pos += 4;
-                                }
-                                other => return Err(format!("bad escape {other:?}")),
-                            }
-                            *pos += 1;
-                        }
-                        Some(&c) => {
-                            // Copy the full UTF-8 sequence starting here.
-                            let start = *pos;
-                            let len = utf8_len(c);
-                            let chunk = b
-                                .get(start..start + len)
-                                .and_then(|c| std::str::from_utf8(c).ok())
-                                .ok_or_else(|| format!("bad UTF-8 at byte {start}"))?;
-                            s.push_str(chunk);
-                            *pos += len;
-                        }
-                        None => return Err("unterminated string".into()),
-                    }
-                }
-            }
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Json::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Json::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Json::Null)
-            }
-            Some(_) => {
-                let start = *pos;
-                while b.get(*pos).is_some_and(|c| {
-                    c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&b[start..*pos])
-                    .ok()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .map(Json::Num)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            None => Err("unexpected end of input".into()),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while b
-        .get(*pos)
-        .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-    {
-        *pos += 1;
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -426,9 +189,8 @@ pub fn quick_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// Times `inner` with the vendored-criterion methodology: a warm-up
-/// pass sizes a batch (~2 ms of work), then `samples` timed batches;
-/// returns `(median_ns, samples)`.
+/// Times `inner`: a warm-up pass sizes a batch (~2 ms of work), then
+/// `samples` timed batches; returns `(median_ns, samples)`.
 pub fn measure<O, F: FnMut() -> O>(quick: bool, mut inner: F) -> (f64, u32) {
     let (warm, batch_ns, samples) = if quick {
         (WallDuration::from_millis(5), 1_000_000.0, 9usize)
@@ -463,7 +225,7 @@ pub fn measure<O, F: FnMut() -> O>(quick: bool, mut inner: F) -> (f64, u32) {
 /// One measured hot-path bench: name and median.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measured {
-    /// Bench name (matches the `ops_micro` / `fault_overhead` ids).
+    /// Bench name, the key in the committed trajectory.
     pub name: &'static str,
     /// Median nanoseconds per iteration.
     pub median_ns: f64,
@@ -472,7 +234,7 @@ pub struct Measured {
 }
 
 /// Compares measurements against the committed baseline with the
-/// [`TOLERANCE_PCT`] tolerance; returns `(markdown_table, regressions)`.
+/// [`TOLERANCE_PCT`] tolerance; returns `(markdown_table, failures)`.
 ///
 /// If both sides carry the [`CALIBRATION_BENCH`] yardstick, every
 /// current median is first divided by the machine-speed scale
@@ -480,8 +242,9 @@ pub struct Measured {
 /// machine slowdown is factored out of the comparison. The ratio
 /// column shows the scaled ratio; the raw current medians are printed
 /// unscaled. Benches without a baseline entry are listed as `new` and
-/// do not fail the gate; recorded benches that regress more than the
-/// tolerance are returned in `regressions`.
+/// do not fail the gate. Recorded benches that regress more than the
+/// tolerance, and baseline benches absent from `current` (listed as
+/// `MISSING`), are returned in `failures`.
 pub fn gate(current: &[Measured], baseline: &Trajectory) -> (String, Vec<String>) {
     let scale = match (
         current.iter().find(|m| m.name == CALIBRATION_BENCH),
@@ -495,7 +258,7 @@ pub fn gate(current: &[Measured], baseline: &Trajectory) -> (String, Vec<String>
     let mut table = String::from(
         "| bench | baseline (ns) | current (ns) | ratio | status |\n|---|---:|---:|---:|---|\n",
     );
-    let mut regressions = Vec::new();
+    let mut failures = Vec::new();
     let limit = 1.0 + TOLERANCE_PCT / 100.0;
     for m in current {
         if m.name == CALIBRATION_BENCH {
@@ -511,7 +274,7 @@ pub fn gate(current: &[Measured], baseline: &Trajectory) -> (String, Vec<String>
             Some(base) => {
                 let ratio = m.median_ns / scale / base.median_ns;
                 let status = if ratio > limit {
-                    regressions.push(format!(
+                    failures.push(format!(
                         "{}: {:.1} ns vs baseline {:.1} ns ({:+.1}% at scale {:.2}x)",
                         m.name,
                         m.median_ns,
@@ -536,7 +299,15 @@ pub fn gate(current: &[Measured], baseline: &Trajectory) -> (String, Vec<String>
             }
         }
     }
-    (table, regressions)
+    for (name, history) in &baseline.benches {
+        if current.iter().any(|m| m.name == name) {
+            continue;
+        }
+        let base = history.last().map_or(f64::NAN, |b| b.median_ns);
+        let _ = writeln!(table, "| {name} | {base:.1} | — | — | MISSING |");
+        failures.push(format!("{name}: in the baseline but not measured"));
+    }
+    (table, failures)
 }
 
 /// Today's UTC date as `YYYY-MM-DD` (civil-from-days, no chrono).
@@ -617,15 +388,20 @@ mod tests {
     }
 
     #[test]
-    fn parse_handles_escapes_and_nesting() {
-        let v = Json::parse(r#"{"a": [1, 2.5, "x\n\"y\""], "b": {"c": true, "d": null}}"#).unwrap();
-        let o = v.as_object().unwrap();
-        let arr = o.get("a").unwrap().as_array().unwrap();
-        assert_eq!(arr[1].as_f64(), Some(2.5));
-        assert_eq!(arr[2].as_str(), Some("x\n\"y\""));
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("1 2").is_err());
+    fn committed_trajectory_round_trips_byte_for_byte() {
+        let text = include_str!("../../../BENCH_net_hotpath.json");
+        let parsed = Trajectory::parse(text).expect("committed trajectory parses");
+        assert_eq!(parsed.to_json(), text);
+    }
+
+    #[test]
+    fn parse_reads_escapes_and_rejects_malformed_documents() {
+        let mut t = Trajectory::default();
+        t.record("a\"b", entry(1.5, "line\nbreak \\ \u{1}"));
+        assert_eq!(Trajectory::parse(&t.to_json()), Ok(t));
+        assert!(Trajectory::parse("{").is_err());
+        assert!(Trajectory::parse("[1,]").is_err());
+        assert!(Trajectory::parse("1 2").is_err());
     }
 
     #[test]
@@ -708,10 +484,34 @@ mod tests {
                 median_ns: 120.0,
                 samples: 9,
             },
+            Measured {
+                name: "b",
+                median_ns: 100.0,
+                samples: 9,
+            },
         ];
         let (table, regressions) = gate(&faster, &base);
         assert_eq!(regressions.len(), 1, "{table}");
         assert!(table.contains("scale 1.00x"), "{table}");
+    }
+
+    #[test]
+    fn gate_fails_on_a_baseline_bench_that_was_not_measured() {
+        let mut base = Trajectory::default();
+        base.record("a", entry(100.0, ""));
+        base.record("gone", entry(40.0, ""));
+        let current = [Measured {
+            name: "a",
+            median_ns: 100.0,
+            samples: 9,
+        }];
+        let (table, failures) = gate(&current, &base);
+        assert_eq!(failures.len(), 1, "{table}");
+        assert!(failures[0].starts_with("gone:"), "{failures:?}");
+        assert!(
+            table.contains("| gone | 40.0 | — | — | MISSING |"),
+            "{table}"
+        );
     }
 
     #[test]

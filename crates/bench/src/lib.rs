@@ -1,8 +1,9 @@
 //! Shared helpers for the figure/table regeneration benches.
 //!
 //! Every bench target prints a "paper vs measured" block; these helpers
-//! keep the formatting uniform and decide the run scale (set `QIC_FULL=1`
-//! for paper-scale runs where a reduced default exists).
+//! keep the formatting uniform, fail the run on a verdict that misses
+//! the paper, and decide the run scale (set `QIC_FULL=1` for
+//! paper-scale runs where a reduced default exists).
 
 pub mod hotpath;
 
@@ -51,6 +52,9 @@ pub fn campaign_line(report: &qic_sweep::CampaignReport) {
 }
 
 /// Prints a one-line verdict comparing a measured value to the paper's.
+/// A `CHECK` verdict (the ratio falls outside `tolerance_factor` either
+/// way) ends the program with exit status 1, so a report target that
+/// drifts from the paper fails its run.
 pub fn verdict(what: &str, paper: f64, measured: f64, tolerance_factor: f64) {
     let ratio = if paper != 0.0 {
         measured / paper
@@ -66,4 +70,8 @@ pub fn verdict(what: &str, paper: f64, measured: f64, tolerance_factor: f64) {
         ratio,
         if ok { "OK" } else { "CHECK" }
     );
+    if !ok {
+        eprintln!("paper verdict failed: {what}");
+        std::process::exit(1);
+    }
 }

@@ -213,23 +213,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -246,7 +230,7 @@ impl Json {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    Json::Str(name.clone()).write(out);
+                    write_str(out, name);
                     out.push_str(": ");
                     value.write(out);
                 }
@@ -275,6 +259,28 @@ impl Json {
         }
         Ok(value)
     }
+}
+
+/// Appends `s` to `out` as a JSON string literal: quotes, backslashes
+/// and control characters are escaped, everything else is copied as is.
+/// The one string escaper behind every JSON document the workspace
+/// writes.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Builds an object from `(name, value)` pairs (codec convenience).

@@ -94,11 +94,14 @@ impl<W: Write + Send> ProgressSink for JsonlProgress<W> {
     }
 
     fn on_finish(&self, task: usize, worker: usize, wall_ns: u64) {
+        // Count while holding the writer, so lines appear in count order
+        // and the last line always carries the final tally.
+        let out = self.out.lock();
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let in_flight = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
         let elapsed_ms = self.started.elapsed().as_secs_f64() * 1e3;
         let eta_ms = elapsed_ms / done as f64 * self.total.saturating_sub(done) as f64;
-        if let Ok(mut out) = self.out.lock() {
+        if let Ok(mut out) = out {
             let _ = writeln!(
                 out,
                 "{{\"event\":\"done\",\"task\":{task},\"worker\":{worker},\"wall_ms\":{:.3},\"done\":{done},\"total\":{},\"in_flight\":{in_flight},\"eta_ms\":{:.1}}}",

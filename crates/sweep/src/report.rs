@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use qic_des::stats::Tally;
 
-use crate::json::{check_fields, get, obj, Json, JsonError};
+use crate::json::{check_fields, get, obj, write_str, Json, JsonError};
 use crate::space::{Axis, AxisValue};
 use qic_des::metrics::Metrics;
 
@@ -229,24 +229,23 @@ impl CampaignReport {
     /// Serialises the report as deterministic JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"campaign\": {},", json_str(&self.name));
+        out.push_str("{\n  \"campaign\": ");
+        write_str(&mut out, &self.name);
+        out.push_str(",\n");
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"replicates\": {},", self.replicates);
         out.push_str("  \"axes\": [\n");
         for (i, axis) in self.axes.iter().enumerate() {
-            let values = axis
-                .values()
-                .iter()
-                .map(json_value)
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"values\": [{}]}}",
-                json_str(axis.name()),
-                values
-            );
+            out.push_str("    {\"name\": ");
+            write_str(&mut out, axis.name());
+            out.push_str(", \"values\": [");
+            for (j, value) in axis.values().iter().enumerate() {
+                if j > 0 {
+                    out.push_str(", ");
+                }
+                write_value(&mut out, value);
+            }
+            out.push_str("]}");
             out.push_str(if i + 1 < self.axes.len() { ",\n" } else { "\n" });
         }
         out.push_str("  ],\n  \"points\": [\n");
@@ -257,30 +256,33 @@ impl CampaignReport {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{}: {}", json_str(name), json_value(value));
+                write_str(&mut out, name);
+                out.push_str(": ");
+                write_value(&mut out, value);
             }
             out.push_str("}, \"metrics\": {");
             for (j, s) in point.summaries.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let samples = point
-                    .samples(&s.name)
-                    .iter()
-                    .map(|v| json_f64(*v))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = write!(
-                    out,
-                    "{}: {{\"mean\": {}, \"ci95\": {}, \"min\": {}, \"max\": {}, \"n\": {}, \"samples\": [{}]}}",
-                    json_str(&s.name),
-                    json_f64(s.mean),
-                    s.ci95.map_or("null".to_string(), json_f64),
-                    json_f64(s.min),
-                    json_f64(s.max),
-                    s.n,
-                    samples
-                );
+                write_str(&mut out, &s.name);
+                out.push_str(": {\"mean\": ");
+                write_f64(&mut out, s.mean);
+                out.push_str(", \"ci95\": ");
+                // An absent interval emits `null`, as a non-finite one does.
+                write_f64(&mut out, s.ci95.unwrap_or(f64::NAN));
+                out.push_str(", \"min\": ");
+                write_f64(&mut out, s.min);
+                out.push_str(", \"max\": ");
+                write_f64(&mut out, s.max);
+                let _ = write!(out, ", \"n\": {}, \"samples\": [", s.n);
+                for (k, v) in point.samples(&s.name).iter().enumerate() {
+                    if k > 0 {
+                        out.push_str(", ");
+                    }
+                    write_f64(&mut out, *v);
+                }
+                out.push_str("]}");
             }
             out.push_str("}}");
             out.push_str(if i + 1 < self.points.len() {
@@ -665,41 +667,22 @@ pub(crate) fn point_from_json(value: &Json) -> Result<PointReport, JsonError> {
     })
 }
 
-/// JSON string literal with minimal escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// JSON number; non-finite floats become `null`.
-fn json_f64(v: f64) -> String {
+fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
-fn json_value(v: &AxisValue) -> String {
+fn write_value(out: &mut String, v: &AxisValue) {
     match v {
-        AxisValue::Int(i) => format!("{i}"),
-        AxisValue::F64(f) => json_f64(*f),
-        AxisValue::Text(s) => json_str(s),
+        AxisValue::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        AxisValue::F64(f) => write_f64(out, *f),
+        AxisValue::Text(s) => write_str(out, s),
     }
 }
 
@@ -870,11 +853,16 @@ mod tests {
 
     #[test]
     fn json_escapes_and_nulls() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(2.5), "2.5");
+        let emit = |write: &dyn Fn(&mut String)| {
+            let mut out = String::new();
+            write(&mut out);
+            out
+        };
+        assert_eq!(emit(&|o| write_str(o, "a\"b\\c\n")), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(emit(&|o| write_str(o, "\u{1}")), "\"\\u0001\"");
+        assert_eq!(emit(&|o| write_f64(o, f64::INFINITY)), "null");
+        assert_eq!(emit(&|o| write_f64(o, f64::NAN)), "null");
+        assert_eq!(emit(&|o| write_f64(o, 2.5)), "2.5");
     }
 
     #[test]
