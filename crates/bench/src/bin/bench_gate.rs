@@ -4,6 +4,7 @@
 //! ```text
 //! bench_gate                      # gate mode: fail on >15% regression
 //! bench_gate --record "<note>"    # append a new trajectory entry
+//! bench_gate --record "<note>" --accept-regression "<reason>"
 //! QIC_BENCH_QUICK=1 bench_gate    # CI: shorter warm-ups, fewer samples
 //! ```
 //!
@@ -16,14 +17,20 @@
 //! throttling, busy shared runners), and apparent regressions are
 //! re-measured up to six more times, 20 seconds apart so the retries
 //! outlive a noise burst, keeping each bench's best median.
+//!
+//! Record mode refuses, writing nothing and exiting non-zero, when a
+//! bench regressed beyond the tolerance against its best recorded
+//! median, unless `--accept-regression` names a reason; the reason then
+//! goes into the recorded note. A baseline can only rise on purpose.
 
 use std::hint::black_box;
 
 use qic_bench::hotpath::{
-    calibration_spin, gate, git_rev, measure, quick_mode, today_utc, workspace_root, BenchEntry,
-    Measured, Trajectory, BASELINE_FILE, CALIBRATION_BENCH,
+    calibration_spin, gate, git_rev, measure, quick_mode, record_note, today_utc, workspace_root,
+    BenchEntry, Measured, Trajectory, BASELINE_FILE, CALIBRATION_BENCH,
 };
 use qic_des::queue::EventQueue;
+use qic_des::rng::mix64;
 use qic_fault::FaultPlan;
 use qic_modular::{ModularFabric, ModularSpec};
 use qic_net::config::NetConfig;
@@ -188,6 +195,37 @@ fn run_benches(quick: bool) -> Vec<Measured> {
         }),
     );
 
+    // The traffic the simulator's queue serves: a hold model with 512
+    // pending events where each pop reschedules with a delay in fig16's
+    // proportions — mostly one hop (122 600 ns), some zero and some a
+    // turn plus a hop (124 600 ns), and one odd delay in 20.
+    let delays: Vec<u64> = (0..1000u64)
+        .map(|i| match mix64(i) % 20 {
+            0 => 1_000 + (i * 7919) % 200_000,
+            1..=3 => 0,
+            4 | 5 => 124_600,
+            _ => 122_600,
+        })
+        .collect();
+    let mut hold = EventQueue::new();
+    for i in 0..512u64 {
+        hold.schedule_after(Duration::from_nanos(i * 240), i);
+    }
+    let mut next = 0;
+    push(
+        "event_queue_recurring_delays",
+        measure(quick, || {
+            let mut acc = 0u64;
+            for _ in 0..1000 {
+                let (_, e) = hold.pop().expect("the hold model keeps 512 pending");
+                acc = acc.wrapping_add(e);
+                hold.schedule_after(Duration::from_nanos(delays[next]), e);
+                next = (next + 1) % delays.len();
+            }
+            acc
+        }),
+    );
+
     // Purification kernels: one noisy DEJMPS round and one Bell-diagonal
     // convolution.
     let state = BellDiagonal::werner_f64(0.99).unwrap();
@@ -206,19 +244,20 @@ fn run_benches(quick: bool) -> Vec<Measured> {
     out
 }
 
+const USAGE: &str = "usage: bench_gate [--record <note> [--accept-regression <reason>]]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let record_note = match args.first().map(String::as_str) {
-        Some("--record") => Some(
-            args.get(1)
-                .cloned()
-                .unwrap_or_else(|| "recorded".to_string()),
-        ),
-        Some(other) => {
-            eprintln!("unknown argument {other:?}; usage: bench_gate [--record <note>]");
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (record_note_arg, accept_regression) = match args[..] {
+        [] => (None, None),
+        ["--record"] => (Some("recorded"), None),
+        ["--record", note] => (Some(note), None),
+        ["--record", note, "--accept-regression", reason] => (Some(note), Some(reason)),
+        _ => {
+            eprintln!("unexpected arguments {args:?}; {USAGE}");
             std::process::exit(2);
         }
-        None => None,
     };
 
     let quick = quick_mode();
@@ -230,10 +269,26 @@ fn main() {
     );
     let measured = run_benches(quick);
 
-    if let Some(note) = record_note {
+    if let Some(note) = record_note_arg {
         let mut trajectory = match std::fs::read_to_string(&path) {
             Ok(text) => Trajectory::parse(&text).expect("baseline file parses"),
             Err(_) => Trajectory::default(),
+        };
+        let note = match record_note(&measured, &trajectory, note, accept_regression) {
+            Ok(note) => note,
+            Err(regressions) => {
+                eprintln!(
+                    "bench-gate: refusing to record — {} regression(s) against the best recorded median:",
+                    regressions.len()
+                );
+                for r in &regressions {
+                    eprintln!("  {r}");
+                }
+                eprintln!(
+                    "nothing written; pass --accept-regression \"<reason>\" to record anyway"
+                );
+                std::process::exit(1);
+            }
         };
         let (date, rev) = (today_utc(), git_rev());
         for m in &measured {

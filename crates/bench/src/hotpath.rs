@@ -19,10 +19,11 @@
 //! Each bench name maps to a **history** (oldest first); the last entry
 //! is the current baseline. `cargo run --release -p qic-bench --bin
 //! bench_gate -- --record "<note>"` measures every hot-path bench and
-//! appends a new entry; a plain `bench_gate` run (CI's `bench-gate`
-//! step, usually with `QIC_BENCH_QUICK=1`) re-measures and fails if any
-//! median regressed more than [`TOLERANCE_PCT`] percent against the
-//! baseline.
+//! appends a new entry, unless a bench regressed beyond the tolerance
+//! against its best recorded median ([`record_note`]); a plain
+//! `bench_gate` run (CI's `bench-gate` step, usually with
+//! `QIC_BENCH_QUICK=1`) re-measures and fails if any median regressed
+//! more than [`TOLERANCE_PCT`] percent against the baseline.
 //!
 //! [`measure`] is the workspace's one timing loop: a warm-up pass
 //! sizes a batch, then a fixed number of timed batches run and the
@@ -97,6 +98,15 @@ impl Trajectory {
     /// The current baseline for `name`: the last recorded entry.
     pub fn baseline(&self, name: &str) -> Option<&BenchEntry> {
         self.benches.get(name).and_then(|h| h.last())
+    }
+
+    /// The best (lowest) median ever recorded for `name`.
+    fn best(&self, name: &str) -> Option<f64> {
+        self.benches
+            .get(name)?
+            .iter()
+            .map(|e| e.median_ns)
+            .min_by(f64::total_cmp)
     }
 
     /// Appends `entry` to the history of `name`.
@@ -246,15 +256,7 @@ pub struct Measured {
 /// tolerance, and baseline benches absent from `current` (listed as
 /// `MISSING`), are returned in `failures`.
 pub fn gate(current: &[Measured], baseline: &Trajectory) -> (String, Vec<String>) {
-    let scale = match (
-        current.iter().find(|m| m.name == CALIBRATION_BENCH),
-        baseline.baseline(CALIBRATION_BENCH),
-    ) {
-        (Some(cur), Some(base)) if base.median_ns > 0.0 => {
-            (cur.median_ns / base.median_ns).max(1.0)
-        }
-        _ => 1.0,
-    };
+    let scale = machine_scale(current, baseline);
     let mut table = String::from(
         "| bench | baseline (ns) | current (ns) | ratio | status |\n|---|---:|---:|---:|---|\n",
     );
@@ -308,6 +310,63 @@ pub fn gate(current: &[Measured], baseline: &Trajectory) -> (String, Vec<String>
         failures.push(format!("{name}: in the baseline but not measured"));
     }
     (table, failures)
+}
+
+/// The machine-speed scale [`gate`] divides current medians by:
+/// `max(1, current_calibration / baseline_calibration)`, or 1 when
+/// either side lacks the [`CALIBRATION_BENCH`] yardstick.
+fn machine_scale(current: &[Measured], baseline: &Trajectory) -> f64 {
+    match (
+        current.iter().find(|m| m.name == CALIBRATION_BENCH),
+        baseline.baseline(CALIBRATION_BENCH),
+    ) {
+        (Some(cur), Some(base)) if base.median_ns > 0.0 => {
+            (cur.median_ns / base.median_ns).max(1.0)
+        }
+        _ => 1.0,
+    }
+}
+
+/// Decides whether `bench_gate --record` may append `current` to the
+/// trajectory, and with which note.
+///
+/// Each bench is compared against the best (lowest) median in its
+/// history, after the same machine-speed scaling as [`gate`], so a
+/// baseline can only be raised on purpose: a bench beyond
+/// [`TOLERANCE_PCT`] refuses the record (`Err` lists them) unless
+/// `accept_regression` gives a reason, which is then appended to the
+/// note. Benches with no history are new and always accepted.
+pub fn record_note(
+    current: &[Measured],
+    trajectory: &Trajectory,
+    note: &str,
+    accept_regression: Option<&str>,
+) -> Result<String, Vec<String>> {
+    let scale = machine_scale(current, trajectory);
+    let limit = 1.0 + TOLERANCE_PCT / 100.0;
+    let regressions: Vec<String> = current
+        .iter()
+        .filter(|m| m.name != CALIBRATION_BENCH)
+        .filter_map(|m| {
+            let best = trajectory.best(m.name)?;
+            let ratio = m.median_ns / scale / best;
+            (ratio > limit).then(|| {
+                format!(
+                    "{}: {:.1} ns vs best recorded {:.1} ns ({:+.1}% at scale {:.2}x)",
+                    m.name,
+                    m.median_ns,
+                    best,
+                    (ratio - 1.0) * 100.0,
+                    scale
+                )
+            })
+        })
+        .collect();
+    match accept_regression {
+        _ if regressions.is_empty() => Ok(note.to_string()),
+        Some(reason) => Ok(format!("{note} (accepted regression: {reason})")),
+        None => Err(regressions),
+    }
 }
 
 /// Today's UTC date as `YYYY-MM-DD` (civil-from-days, no chrono).
@@ -511,6 +570,53 @@ mod tests {
         assert!(
             table.contains("| gone | 40.0 | — | — | MISSING |"),
             "{table}"
+        );
+    }
+
+    #[test]
+    fn record_refuses_a_regression_against_the_best_median_unless_accepted() {
+        let mut t = Trajectory::default();
+        t.record(CALIBRATION_BENCH, entry(100.0, ""));
+        t.record("a", entry(100.0, ""));
+        t.record("a", entry(130.0, "drifted")); // the last entry is not the bar
+        let run = |cal: f64, a: f64| {
+            [
+                Measured {
+                    name: CALIBRATION_BENCH,
+                    median_ns: cal,
+                    samples: 9,
+                },
+                Measured {
+                    name: "a",
+                    median_ns: a,
+                    samples: 9,
+                },
+                Measured {
+                    name: "new",
+                    median_ns: 1e6,
+                    samples: 9,
+                },
+            ]
+        };
+        // Within 15% of the best (100), not of the last (130).
+        assert_eq!(
+            record_note(&run(100.0, 114.0), &t, "n", None),
+            Ok("n".into())
+        );
+        let refused = record_note(&run(100.0, 120.0), &t, "n", None).unwrap_err();
+        assert_eq!(refused.len(), 1, "{refused:?}");
+        assert!(refused[0].starts_with("a:"), "{refused:?}");
+        // A uniformly 1.5x slower machine scales out, as in `gate`…
+        assert_eq!(
+            record_note(&run(150.0, 165.0), &t, "n", None),
+            Ok("n".into())
+        );
+        // …and a faster one clamps to scale 1.
+        assert!(record_note(&run(50.0, 120.0), &t, "n", None).is_err());
+        // An explicit reason lets the regression through, into the note.
+        assert_eq!(
+            record_note(&run(100.0, 120.0), &t, "n", Some("new model")),
+            Ok("n (accepted regression: new model)".into())
         );
     }
 

@@ -10,6 +10,29 @@
 //! FIFO "now-lane", which makes the self-scheduling cascades a
 //! simulation step produces O(1) instead of O(log n).
 //!
+//! # Delay classes
+//!
+//! The now-lane is the zero-delay case of a more general fact: the
+//! clock never goes back, so events scheduled with the same positive
+//! delay `at - now` arrive in `(at, seq)` order. A simulator schedules
+//! with few distinct delays. On the fig16 and modular_faceoff presets at
+//! Full scale, three delays carry 91% of all scheduled events (one hop,
+//! 122 600 ns; zero, the now-lane; a turn plus a hop, 124 600 ns), 16
+//! carry 97% and 32 carry 99.4%. So each recurring delay gets a FIFO of
+//! its own, an intrusive list through a link table indexed like the
+//! arena, and only the head of each FIFO sits in the heap. Scheduling
+//! into a non-empty class is an O(1) append, and the heap shrinks: on
+//! fig16 at Full it averages 41 entries while 493 events are pending.
+//! Popping a class head hands its heap entry to its successor with one
+//! sift-down. This is the regularity calendar queues exploit (Brown,
+//! CACM 1988).
+//!
+//! The 16 classes form a direct-mapped table indexed by a multiplicative
+//! hash of the delay. An empty class is claimed by the first delay that
+//! maps to it; a delay whose slot holds a different non-empty delay goes
+//! to the heap as a plain entry. Pop order is exactly `(at, seq)` order
+//! either way, so which path an event took is invisible to the caller.
+//!
 //! The FIFO tie-break rests on a strictly monotone `u64` sequence
 //! counter. It is incremented once per scheduled event and never
 //! reused, so it cannot collide, and at one event per nanosecond it
@@ -27,14 +50,57 @@ use crate::time::SimTime;
 /// one native 128-bit comparison.
 type Ord128 = u128;
 
-/// The tail of the intrusive free list (and the "no entry" sentinel).
-const FREE_END: u32 = u32::MAX;
+/// The end of an intrusive list (free list or class FIFO), and the
+/// "no entry" sentinel.
+const END: u32 = u32::MAX;
+
+/// Number of delay classes; a power of two, so the hash is a shift.
+const CLASSES: usize = 16;
+
+/// Heap entries with this bit set name a delay class (its head is the
+/// entry) instead of an arena slot, which caps the arena below it.
+const CLASS_TAG: u32 = 1 << 31;
+
+/// The delay class a positive delay maps to: the top bits of a
+/// Fibonacci (golden-ratio multiplicative) hash.
+#[inline]
+fn class_of(delay: u64) -> usize {
+    (delay.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - CLASSES.trailing_zeros())) as usize
+}
 
 /// An arena slot: a live event, or a link in the free list.
 enum Slot<E> {
     Full(E),
     Free(u32),
 }
+
+/// A class member's place in its FIFO, parallel to its arena slot.
+/// Written only when an event joins a non-empty class, so events that
+/// claim a class or go to the heap never touch it.
+#[derive(Clone, Copy)]
+struct Link {
+    /// The event's order key, read when it becomes its class's head.
+    ord: Ord128,
+    /// The next (younger) slot of the class; meaningful only for
+    /// members that are not the class's tail.
+    next: u32,
+}
+
+/// One delay class: a FIFO of pending events that share `delay`.
+struct Class {
+    delay: u64,
+    /// Oldest event (the one in the heap); [`END`] when the class is
+    /// empty and free to be claimed.
+    head: u32,
+    /// Youngest event: where the next member is linked in.
+    tail: u32,
+}
+
+const EMPTY_CLASS: Class = Class {
+    delay: 0,
+    head: END,
+    tail: END,
+};
 
 /// A deterministic future-event list.
 ///
@@ -46,12 +112,20 @@ pub struct EventQueue<E> {
     /// child scan reads one 64-byte line of four keys and touches the
     /// slot array only on an actual move.
     heap_ord: Vec<Ord128>,
-    /// Arena slot of each heap entry, parallel to `heap_ord`.
+    /// Arena slot of each heap entry, or `CLASS_TAG | class` for a
+    /// class head; parallel to `heap_ord`.
     heap_slot: Vec<u32>,
-    /// Event arena: heap/lane entries hold indices into this slab; free
-    /// slots chain through [`Slot::Free`] starting at `free_head`.
+    /// Event arena: heap and class entries hold indices into this slab;
+    /// free slots chain through [`Slot::Free`] starting at `free_head`.
     slots: Vec<Slot<E>>,
     free_head: u32,
+    /// Class FIFO links by arena slot; grown when a class is appended
+    /// to, so it may be shorter than `slots`.
+    links: Vec<Link>,
+    /// Pending events in the arena (the heap plus every class FIFO).
+    queued: usize,
+    /// Delay classes, direct-mapped by [`class_of`].
+    classes: [Class; CLASSES],
     /// Events scheduled for exactly `now`, in FIFO order. Every entry
     /// here was scheduled *after* the clock reached `now`, so it comes
     /// after any heap entry at `now` in `(at, seq)` order — the heap
@@ -82,7 +156,10 @@ impl<E> EventQueue<E> {
             heap_ord: Vec::with_capacity(capacity),
             heap_slot: Vec::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
-            free_head: FREE_END,
+            free_head: END,
+            links: Vec::with_capacity(capacity),
+            queued: 0,
+            classes: [EMPTY_CLASS; CLASSES],
             lane: VecDeque::new(),
             seq: 0,
             now: SimTime::ZERO,
@@ -98,7 +175,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap_ord.len() + self.lane.len()
+        self.queued + self.lane.len()
     }
 
     /// Whether no events are pending.
@@ -114,11 +191,13 @@ impl<E> EventQueue<E> {
     /// Stores an event in the arena and returns its slot.
     #[inline]
     fn alloc(&mut self, event: E) -> u32 {
+        self.queued += 1;
         let slot = self.free_head;
-        if slot == FREE_END {
-            let slot =
-                u32::try_from(self.slots.len()).expect("event arena exceeds u32::MAX live events");
-            assert!(slot != FREE_END, "event arena exceeds u32::MAX live events");
+        if slot == END {
+            let slot = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&s| s < CLASS_TAG)
+                .expect("event arena exceeds 2^31 live events");
             self.slots.push(Slot::Full(event));
             slot
         } else {
@@ -134,6 +213,7 @@ impl<E> EventQueue<E> {
     /// Removes an event from the arena, recycling its slot.
     #[inline]
     fn take(&mut self, slot: u32) -> E {
+        self.queued -= 1;
         let cell = &mut self.slots[slot as usize];
         match std::mem::replace(cell, Slot::Free(self.free_head)) {
             Slot::Full(event) => {
@@ -164,12 +244,38 @@ impl<E> EventQueue<E> {
             // preserves exact schedule order with no heap or arena
             // traffic at all.
             self.lane.push_back(event);
-        } else {
-            let seq = self.seq;
-            self.seq = seq.checked_add(1).expect("event sequence counter wrapped");
-            let slot = self.alloc(event);
-            self.heap_push((u128::from(at.as_nanos()) << 64) | u128::from(seq), slot);
+            return;
         }
+        let seq = self.seq;
+        self.seq = seq.checked_add(1).expect("event sequence counter wrapped");
+        let ord = (u128::from(at.as_nanos()) << 64) | u128::from(seq);
+        let slot = self.alloc(event);
+        let delay = at.as_nanos() - self.now.as_nanos();
+        let index = class_of(delay);
+        let class = &mut self.classes[index];
+        let entry = if class.head == END {
+            // Claim the free class; its head enters the heap.
+            *class = Class {
+                delay,
+                head: slot,
+                tail: slot,
+            };
+            CLASS_TAG | index as u32
+        } else if class.delay == delay {
+            // Same delay, later schedule: later `(at, seq)`, so append.
+            let tail = class.tail;
+            class.tail = slot;
+            if self.links.len() < self.slots.len() {
+                self.links
+                    .resize(self.slots.len(), Link { ord: 0, next: END });
+            }
+            self.links[tail as usize].next = slot;
+            self.links[slot as usize].ord = ord;
+            return;
+        } else {
+            slot
+        };
+        self.heap_push(ord, entry);
     }
 
     /// Schedules `event` at `now + delay`.
@@ -248,7 +354,10 @@ impl<E> EventQueue<E> {
         self.heap_slot.clear();
         self.lane.clear();
         self.slots.clear();
-        self.free_head = FREE_END;
+        self.free_head = END;
+        self.links.clear();
+        self.queued = 0;
+        self.classes = [EMPTY_CLASS; CLASSES];
     }
 
     /// Starts the sequence counter at `seq` — a test hook for exercising
@@ -291,16 +400,41 @@ impl<E> EventQueue<E> {
         self.heap_slot[i] = slot;
     }
 
-    /// Removes and returns the slot of the minimum heap key.
+    /// Removes the minimum heap entry and returns the arena slot of its
+    /// event. A class head hands its heap entry to its successor, if it
+    /// has one, with a single sift-down from the root.
     #[inline]
     fn heap_pop_top(&mut self) -> u32 {
         let top = self.heap_slot[0];
-        let last_ord = self.heap_ord.pop().expect("heap is non-empty");
-        let last_slot = self.heap_slot.pop().expect("heap is non-empty");
-        if !self.heap_ord.is_empty() {
-            self.sift_down(0, last_ord, last_slot);
-        }
-        top
+        let (slot, successor) = if top & CLASS_TAG == 0 {
+            (top, None)
+        } else {
+            let class = &mut self.classes[(top ^ CLASS_TAG) as usize];
+            let head = class.head;
+            if head == class.tail {
+                class.head = END;
+                (head, None)
+            } else {
+                let next = self.links[head as usize].next;
+                class.head = next;
+                (head, Some(self.links[next as usize].ord))
+            }
+        };
+        // One sift-down call site, so it inlines: the successor takes
+        // the root, or else the last leaf does.
+        let (ord, entry) = match successor {
+            Some(ord) => (ord, top),
+            None => {
+                let last_ord = self.heap_ord.pop().expect("heap is non-empty");
+                let last_slot = self.heap_slot.pop().expect("heap is non-empty");
+                if self.heap_ord.is_empty() {
+                    return slot;
+                }
+                (last_ord, last_slot)
+            }
+        };
+        self.sift_down(0, ord, entry);
+        slot
     }
 
     /// Sifts an entry down from the hole at `i`, writing it exactly
@@ -466,6 +600,26 @@ mod tests {
         }
         assert!(q.slots.len() <= 50, "arena grew to {}", q.slots.len());
         assert_eq!(q.events_processed(), 500);
+    }
+
+    #[test]
+    fn a_recurring_delay_queues_behind_one_heap_entry() {
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule_after(Duration::from_nanos(122_600), i);
+            q.schedule_after(Duration::from_nanos(124_600), 100 + i);
+        }
+        assert_eq!(q.heap_ord.len(), 2, "one entry per class head");
+        assert_eq!(q.len(), 200);
+        let _ = q.pop();
+        // Rescheduling at the same delay from a later instant appends.
+        q.schedule_after(Duration::from_nanos(122_600), 200);
+        assert_eq!(q.heap_ord.len(), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        let expected: Vec<i32> = (1..100).chain(100..200).chain([200]).collect();
+        assert_eq!(order, expected);
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

@@ -101,6 +101,84 @@ proptest! {
             prop_assert_eq!(q.events_processed(), arrivals as u64);
         }
     }
+
+    /// Recurring delays against the same `(at, arrival)` model, with
+    /// `len()` checked after every operation. The delays come from more
+    /// distinct values than the queue has delay classes, so classes are
+    /// claimed, collide and fall back to the heap, and they are small,
+    /// so different delays often meet at one instant; `schedule_now`
+    /// and `pop_batch` interleave with them.
+    #[test]
+    fn recurring_delays_match_model_with_exact_len(
+        ops in proptest::collection::vec((0u8..10, 0usize..RECURRING.len()), 1..400),
+    ) {
+        for start in SEQ_STARTS {
+            let mut q = EventQueue::new();
+            q.start_seq_at(start);
+            let mut pending: Vec<(u64, usize)> = Vec::new();
+            let mut arrivals = 0usize;
+            let mut batch = Vec::new();
+            for &(kind, pick) in &ops {
+                let now = q.now().as_nanos();
+                match kind {
+                    0..=5 => {
+                        q.schedule_after(Duration::from_nanos(RECURRING[pick]), arrivals);
+                        pending.push((now + RECURRING[pick], arrivals));
+                        arrivals += 1;
+                    }
+                    6 | 7 => {
+                        q.schedule_now(arrivals);
+                        pending.push((now, arrivals));
+                        arrivals += 1;
+                    }
+                    _ => {
+                        let expected = pop_instant(&mut pending);
+                        let at = q.pop_batch(&mut batch).map(|t| t.as_nanos());
+                        prop_assert_eq!(at, expected.first().map(|&(at, _)| at), "seq start {}", start);
+                        let ids: Vec<usize> = expected.iter().map(|&(_, id)| id).collect();
+                        prop_assert_eq!(&batch, &ids, "seq start {}", start);
+                    }
+                }
+                prop_assert_eq!(q.len(), pending.len(), "seq start {}", start);
+            }
+            while !pending.is_empty() {
+                let expected = pop_instant(&mut pending);
+                prop_assert!(q.pop_batch(&mut batch).is_some());
+                let ids: Vec<usize> = expected.iter().map(|&(_, id)| id).collect();
+                prop_assert_eq!(&batch, &ids, "seq start {}", start);
+                prop_assert_eq!(q.len(), pending.len(), "seq start {}", start);
+            }
+            prop_assert!(q.is_empty());
+            prop_assert_eq!(q.events_processed(), arrivals as u64);
+        }
+    }
+}
+
+/// 40 distinct positive delays: more than the queue's delay classes.
+const RECURRING: [u64; 40] = {
+    let mut delays = [0u64; 40];
+    let mut i = 0;
+    while i < 40 {
+        delays[i] = 1 + 3 * i as u64;
+        i += 1;
+    }
+    delays
+};
+
+/// Removes the model's events at its earliest instant, in arrival
+/// order: what one `pop_batch` must return.
+fn pop_instant(pending: &mut Vec<(u64, usize)>) -> Vec<(u64, usize)> {
+    let Some(first) = pending.iter().map(|&(at, _)| at).min() else {
+        return Vec::new();
+    };
+    let mut batch: Vec<(u64, usize)> = pending
+        .iter()
+        .copied()
+        .filter(|&(at, _)| at == first)
+        .collect();
+    pending.retain(|&(at, _)| at != first);
+    batch.sort_unstable();
+    batch
 }
 
 /// The counter refuses to wrap: scheduling past `u64::MAX` sequence

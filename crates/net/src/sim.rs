@@ -244,11 +244,10 @@ struct Comm {
 
 // --- struct-of-arrays resource state ----------------------------------
 //
-// The per-instance resource structs in `crate::resources` remain the
-// documented reference models; the simulator keeps the same state as
-// parallel flat vectors over the dense indices `Topology` provides, so
-// the hot path touches one primitive array per field instead of
-// pointer-chasing whole structs. Shared scalars (wire interval/cap,
+// The simulator keeps each resource kind's state as parallel flat
+// vectors over the dense indices `Topology` provides, so the hot path
+// touches one primitive array per field instead of pointer-chasing
+// per-instance structs. Shared scalars (wire interval/cap,
 // storage capacity, purifier units — uniform across instances by
 // construction) are stored once.
 
